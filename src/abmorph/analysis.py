@@ -184,15 +184,13 @@ def letters_at_progression(source, r: int, d: int) -> set:
     Works over any alphabet (binary words, or integer state sequences)."""
     if d < 1 or r < 0:
         raise ValueError("need r >= 0 and d >= 1")
-    if isinstance(source, (Word, str)):
-        arr = _as_array(source)
-        if r >= arr.size:
-            raise EmptySelectionError(f"start {r} is past the prefix of {arr.size}")
-        return {"ab"[int(c)] for c in np.unique(arr[r::d])}
     arr = _as_array(source)
     if r >= arr.size:
         raise EmptySelectionError(f"start {r} is past the prefix of {arr.size}")
-    return {int(c) for c in np.unique(arr[r::d])}
+    codes = np.unique(arr[r::d])
+    if isinstance(source, (Word, str)):
+        return {"ab"[int(c)] for c in codes}
+    return {int(c) for c in codes}
 
 
 def theta2_one_invariant_check(f: BinaryMorphism, u: Word | str) -> bool:

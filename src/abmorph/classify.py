@@ -26,7 +26,7 @@ from .matrices import (
     spectral_profile,
 )
 from .periodic import PeriodicityVerdict, decide_periodic
-from .rank1 import EventualWitness, PureVerdict, decide_pure, eventual_check_at
+from .rank1 import EventualWitness, PureVerdict, decide_pure, eventual_scan
 from .words import BinaryMorphism, fixed_point_prefix
 
 ANSWER_ABELIAN_PERIODIC = "AbelianPeriodic"
@@ -116,6 +116,15 @@ class ImbalanceEvidence:
     horizon: int
     target: int
     reached: bool
+
+    def to_json(self) -> dict:
+        return {
+            "window_length": self.window_length,
+            "imbalance": self.imbalance,
+            "horizon": self.horizon,
+            "target": self.target,
+            "reached": self.reached,
+        }
 
 
 @dataclass(frozen=True)
@@ -278,28 +287,22 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
             bounds=(("max_configurations", opts.max_configurations),),
         )
 
-    budget = opts.eventual_offset_budget
-    k_scanned = 0
-    for k in range(1, opts.eventual_k_max + 1):
-        period = form.block_unit * form.trace ** (k - 1)
-        if period > budget:
-            break
-        budget -= period
-        k_scanned = k
-        witness = eventual_check_at(f, form, k)
-        if witness is not None:
-            return Verdict(
-                ANSWER_ABELIAN_PERIODIC,
-                CERTAINTY_PROVED,
-                REASON_EVENTUAL_WITNESS,
-                prof,
-                rank1=form,
-                pure=pure,
-                eventual=witness,
-                frequencies=freq,
-                claimed_preperiod=witness.cut_offset,
-                claimed_period=witness.period,
-            )
+    witness, k_scanned = eventual_scan(
+        f, form, opts.eventual_k_max, opts.eventual_offset_budget
+    )
+    if witness is not None:
+        return Verdict(
+            ANSWER_ABELIAN_PERIODIC,
+            CERTAINTY_PROVED,
+            REASON_EVENTUAL_WITNESS,
+            prof,
+            rank1=form,
+            pure=pure,
+            eventual=witness,
+            frequencies=freq,
+            claimed_preperiod=witness.cut_offset,
+            claimed_period=witness.period,
+        )
     return Verdict(
         ANSWER_UNKNOWN,
         CERTAINTY_BOUNDED_SEARCH,
@@ -316,91 +319,25 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     )
 
 
-def _fraction_str(x) -> str:
-    return f"{x.numerator}/{x.denominator}"
+def _to_json(x) -> dict | None:
+    return None if x is None else x.to_json()
 
 
 def verdict_report(f: BinaryMorphism, verdict: Verdict) -> dict:
     """JSON-ready report for a classification.
 
-    Numbers that can exceed 53 bits (periods, offsets) are decimal strings so
-    the report survives tools with double-precision JSON parsers; exact
-    rationals are "p/q" strings."""
+    Each part comes from its result type's to_json. Numbers that can exceed
+    53 bits (periods, offsets) are decimal strings so the report survives
+    tools with double-precision JSON parsers; exact rationals are "p/q"
+    strings."""
     from . import __version__
 
-    prof = verdict.spectral
-    rank1 = None
-    if verdict.rank1 is not None:
-        r = verdict.rank1
-        rank1 = {
-            "A": r.A,
-            "B": r.B,
-            "n": r.n,
-            "m": r.m,
-            "trace": r.trace,
-            "block_unit": r.block_unit,
-        }
-    pure = None
-    if verdict.pure is not None:
-        p = verdict.pure
-        pure = {
-            "status": p.status,
-            "k": p.k,
-            "period": None if p.period is None else str(p.period),
-            "iterations_used": p.iterations_used,
-            "cycle_detected": p.cycle_detected,
-        }
-    eventual = None
-    if verdict.eventual is not None:
-        w = verdict.eventual
-        eventual = {
-            "k": w.k,
-            "cut_offset": str(w.cut_offset),
-            "period": str(w.period),
-        }
-    periodicity = None
-    if verdict.periodicity is not None:
-        pv = verdict.periodicity
-        periodicity = {
-            "status": pv.status,
-            "preperiod_word": None if pv.preperiod is None else str(pv.preperiod),
-            "period_word": None if pv.period is None else str(pv.period),
-            "max_preperiod": pv.max_preperiod,
-            "max_period": pv.max_period,
-        }
-    special_form = None
-    if verdict.special_form is not None:
-        special_form = {"k": verdict.special_form[0], "m": verdict.special_form[1]}
+    special = verdict.special_form
     claimed = None
     if verdict.claimed_period is not None:
         claimed = {
             "preperiod": str(verdict.claimed_preperiod),
             "period": str(verdict.claimed_period),
-        }
-    frequencies = None
-    if verdict.frequencies is not None:
-        fr = verdict.frequencies
-        frequencies = {
-            "discriminant": fr.discriminant,
-            "rational": fr.rational,
-            "a": {
-                "rational_part": _fraction_str(fr.rational_a),
-                "sqrt_coefficient": _fraction_str(fr.coef_a),
-            },
-            "b": {
-                "rational_part": _fraction_str(fr.rational_b),
-                "sqrt_coefficient": _fraction_str(fr.coef_b),
-            },
-        }
-    evidence = None
-    if verdict.evidence is not None:
-        ev = verdict.evidence
-        evidence = {
-            "window_length": ev.window_length,
-            "imbalance": ev.imbalance,
-            "horizon": ev.horizon,
-            "target": ev.target,
-            "reached": ev.reached,
         }
     return {
         "meta": {"tool": "abmorph", "version": __version__},
@@ -410,29 +347,23 @@ def verdict_report(f: BinaryMorphism, verdict: Verdict) -> dict:
             "text": f.to_text(),
         },
         "matrix": [list(row) for row in matrix_of(f).rows()],
-        "spectral": {
-            "trace": prof.trace,
-            "determinant": prof.determinant,
-            "discriminant": prof.discriminant,
-            "theta2_kind": prof.theta2_kind,
-            "theta2_value": prof.theta2_value,
-            "theta2_abs_class": prof.theta2_abs_class,
-            "primitive": prof.primitive,
-        },
-        "rank1": rank1,
+        "spectral": verdict.spectral.to_json(),
+        "rank1": _to_json(verdict.rank1),
         "answer": verdict.answer,
         "certainty": verdict.certainty,
         "reason": verdict.reason,
         "witnesses": {
-            "pure": pure,
-            "eventual": eventual,
-            "periodicity": periodicity,
-            "special_form": special_form,
+            "pure": _to_json(verdict.pure),
+            "eventual": _to_json(verdict.eventual),
+            "periodicity": _to_json(verdict.periodicity),
+            "special_form": None
+            if special is None
+            else {"k": special[0], "m": special[1]},
             "claimed_abelian_period": claimed,
         },
-        "frequencies": frequencies,
+        "frequencies": _to_json(verdict.frequencies),
         "bounds": dict(verdict.bounds),
-        "evidence": evidence,
+        "evidence": _to_json(verdict.evidence),
     }
 
 
@@ -440,48 +371,30 @@ def _nullable(schema: dict) -> dict:
     return {"anyOf": [{"type": "null"}, schema]}
 
 
+def _obj(**properties) -> dict:
+    """Closed object schema; every property is required, in the given order."""
+    return {
+        "type": "object",
+        "additionalProperties": False,
+        "required": list(properties),
+        "properties": properties,
+    }
+
+
 _DECIMAL = {"type": "string", "pattern": "^-?[0-9]+$"}
 _FRACTION = {"type": "string", "pattern": "^-?[0-9]+/[0-9]+$"}
+_FREQUENCY = _obj(rational_part=_FRACTION, sqrt_coefficient=_FRACTION)
 
 VERDICT_REPORT_SCHEMA: dict = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "additionalProperties": False,
-    "required": [
-        "meta",
-        "morphism",
-        "matrix",
-        "spectral",
-        "rank1",
-        "answer",
-        "certainty",
-        "reason",
-        "witnesses",
-        "frequencies",
-        "bounds",
-        "evidence",
-    ],
-    "properties": {
-        "meta": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["tool", "version"],
-            "properties": {
-                "tool": {"const": "abmorph"},
-                "version": {"type": "string"},
-            },
-        },
-        "morphism": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["a", "b", "text"],
-            "properties": {
-                "a": {"type": "string", "pattern": "^[ab]+$"},
-                "b": {"type": "string", "pattern": "^[ab]+$"},
-                "text": {"type": "string"},
-            },
-        },
-        "matrix": {
+    **_obj(
+        meta=_obj(tool={"const": "abmorph"}, version={"type": "string"}),
+        morphism=_obj(
+            a={"type": "string", "pattern": "^[ab]+$"},
+            b={"type": "string", "pattern": "^[ab]+$"},
+            text={"type": "string"},
+        ),
+        matrix={
             "type": "array",
             "minItems": 2,
             "maxItems": 2,
@@ -492,200 +405,83 @@ VERDICT_REPORT_SCHEMA: dict = {
                 "items": {"type": "integer", "minimum": 0},
             },
         },
-        "spectral": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": [
-                "trace",
-                "determinant",
-                "discriminant",
-                "theta2_kind",
-                "theta2_value",
-                "theta2_abs_class",
-                "primitive",
-            ],
-            "properties": {
-                "trace": {"type": "integer"},
-                "determinant": {"type": "integer"},
-                "discriminant": {"type": "integer", "minimum": 0},
-                "theta2_kind": {
-                    "enum": ["zero", "integer_nonzero", "irrational_quadratic"]
-                },
-                "theta2_value": _nullable({"type": "integer"}),
-                "theta2_abs_class": {
-                    "enum": [
-                        "eq_zero",
-                        "in_open_unit_interval",
-                        "eq_one",
-                        "gt_one",
-                    ]
-                },
-                "primitive": {"type": "boolean"},
+        spectral=_obj(
+            trace={"type": "integer"},
+            determinant={"type": "integer"},
+            discriminant={"type": "integer", "minimum": 0},
+            theta2_kind={"enum": ["zero", "integer_nonzero", "irrational_quadratic"]},
+            theta2_value=_nullable({"type": "integer"}),
+            theta2_abs_class={
+                "enum": ["eq_zero", "in_open_unit_interval", "eq_one", "gt_one"]
             },
-        },
-        "rank1": _nullable(
-            {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["A", "B", "n", "m", "trace", "block_unit"],
-                "properties": {
-                    "A": {"type": "integer", "minimum": 1},
-                    "B": {"type": "integer", "minimum": 1},
-                    "n": {"type": "integer", "minimum": 1},
-                    "m": {"type": "integer", "minimum": 1},
-                    "trace": {"type": "integer", "minimum": 2},
-                    "block_unit": {"type": "integer", "minimum": 2},
-                },
-            }
+            primitive={"type": "boolean"},
         ),
-        "answer": {"enum": list(ANSWERS)},
-        "certainty": {"enum": list(CERTAINTIES)},
-        "reason": {"enum": list(REASONS)},
-        "witnesses": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": [
-                "pure",
-                "eventual",
-                "periodicity",
-                "special_form",
-                "claimed_abelian_period",
-            ],
-            "properties": {
-                "pure": _nullable(
-                    {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": [
-                            "status",
-                            "k",
-                            "period",
-                            "iterations_used",
-                            "cycle_detected",
-                        ],
-                        "properties": {
-                            "status": {
-                                "enum": ["pure", "not_pure", "resource_exhausted"]
-                            },
-                            "k": _nullable({"type": "integer", "minimum": 1}),
-                            "period": _nullable(_DECIMAL),
-                            "iterations_used": {"type": "integer", "minimum": 0},
-                            "cycle_detected": {"type": "boolean"},
-                        },
-                    }
-                ),
-                "eventual": _nullable(
-                    {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["k", "cut_offset", "period"],
-                        "properties": {
-                            "k": {"type": "integer", "minimum": 1},
-                            "cut_offset": _DECIMAL,
-                            "period": _DECIMAL,
-                        },
-                    }
-                ),
-                "periodicity": _nullable(
-                    {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": [
-                            "status",
-                            "preperiod_word",
-                            "period_word",
-                            "max_preperiod",
-                            "max_period",
-                        ],
-                        "properties": {
-                            "status": {"enum": ["periodic", "not_found"]},
-                            "preperiod_word": _nullable(
-                                {"type": "string", "pattern": "^[ab]*$"}
-                            ),
-                            "period_word": _nullable(
-                                {"type": "string", "pattern": "^[ab]+$"}
-                            ),
-                            "max_preperiod": {"type": "integer", "minimum": 0},
-                            "max_period": {"type": "integer", "minimum": 1},
-                        },
-                    }
-                ),
-                "special_form": _nullable(
-                    {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["k", "m"],
-                        "properties": {
-                            "k": {"type": "integer", "minimum": 0},
-                            "m": {"type": "integer", "minimum": 0},
-                        },
-                    }
-                ),
-                "claimed_abelian_period": _nullable(
-                    {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["preperiod", "period"],
-                        "properties": {
-                            "preperiod": _DECIMAL,
-                            "period": _DECIMAL,
-                        },
-                    }
-                ),
-            },
-        },
-        "frequencies": _nullable(
-            {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["discriminant", "rational", "a", "b"],
-                "properties": {
-                    "discriminant": {"type": "integer", "minimum": 0},
-                    "rational": {"type": "boolean"},
-                    "a": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["rational_part", "sqrt_coefficient"],
-                        "properties": {
-                            "rational_part": _FRACTION,
-                            "sqrt_coefficient": _FRACTION,
-                        },
-                    },
-                    "b": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["rational_part", "sqrt_coefficient"],
-                        "properties": {
-                            "rational_part": _FRACTION,
-                            "sqrt_coefficient": _FRACTION,
-                        },
-                    },
-                },
-            }
+        rank1=_nullable(
+            _obj(
+                A={"type": "integer", "minimum": 1},
+                B={"type": "integer", "minimum": 1},
+                n={"type": "integer", "minimum": 1},
+                m={"type": "integer", "minimum": 1},
+                trace={"type": "integer", "minimum": 2},
+                block_unit={"type": "integer", "minimum": 2},
+            )
         ),
-        "bounds": {
-            "type": "object",
-            "additionalProperties": {"type": "integer"},
-        },
-        "evidence": _nullable(
-            {
-                "type": "object",
-                "additionalProperties": False,
-                "required": [
-                    "window_length",
-                    "imbalance",
-                    "horizon",
-                    "target",
-                    "reached",
-                ],
-                "properties": {
-                    "window_length": {"type": "integer", "minimum": 1},
-                    "imbalance": {"type": "integer", "minimum": 0},
-                    "horizon": {"type": "integer", "minimum": 2},
-                    "target": {"type": "integer", "minimum": 1},
-                    "reached": {"type": "boolean"},
-                },
-            }
+        answer={"enum": list(ANSWERS)},
+        certainty={"enum": list(CERTAINTIES)},
+        reason={"enum": list(REASONS)},
+        witnesses=_obj(
+            pure=_nullable(
+                _obj(
+                    status={"enum": ["pure", "not_pure", "resource_exhausted"]},
+                    k=_nullable({"type": "integer", "minimum": 1}),
+                    period=_nullable(_DECIMAL),
+                    iterations_used={"type": "integer", "minimum": 0},
+                    cycle_detected={"type": "boolean"},
+                )
+            ),
+            eventual=_nullable(
+                _obj(
+                    k={"type": "integer", "minimum": 1},
+                    cut_offset=_DECIMAL,
+                    period=_DECIMAL,
+                )
+            ),
+            periodicity=_nullable(
+                _obj(
+                    status={"enum": ["periodic", "not_found"]},
+                    preperiod_word=_nullable({"type": "string", "pattern": "^[ab]*$"}),
+                    period_word=_nullable({"type": "string", "pattern": "^[ab]+$"}),
+                    max_preperiod={"type": "integer", "minimum": 0},
+                    max_period={"type": "integer", "minimum": 1},
+                )
+            ),
+            special_form=_nullable(
+                _obj(
+                    k={"type": "integer", "minimum": 0},
+                    m={"type": "integer", "minimum": 0},
+                )
+            ),
+            claimed_abelian_period=_nullable(
+                _obj(preperiod=_DECIMAL, period=_DECIMAL)
+            ),
         ),
-    },
+        frequencies=_nullable(
+            _obj(
+                discriminant={"type": "integer", "minimum": 0},
+                rational={"type": "boolean"},
+                a=_FREQUENCY,
+                b=_FREQUENCY,
+            )
+        ),
+        bounds={"type": "object", "additionalProperties": {"type": "integer"}},
+        evidence=_nullable(
+            _obj(
+                window_length={"type": "integer", "minimum": 1},
+                imbalance={"type": "integer", "minimum": 0},
+                horizon={"type": "integer", "minimum": 2},
+                target={"type": "integer", "minimum": 1},
+                reached={"type": "boolean"},
+            )
+        ),
+    ),
 }

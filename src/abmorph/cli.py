@@ -30,7 +30,7 @@ from .errors import AbmorphError
 from .lift import build_lift, dfao_dot, dfao_table, is_bijective
 from .matrices import matrix_of, rank1_decompose
 from .periodic import decide_periodic
-from .rank1 import block_position_residues, decide_pure, eventual_check_at
+from .rank1 import block_position_residues, decide_pure, eventual_scan
 from .words import BinaryMorphism, fixed_point_prefix, parse_morphism
 
 
@@ -125,14 +125,7 @@ def _cmd_pure(args) -> tuple[str, int]:
     _require_format(args.format, ("json", "text"))
     f = _load_morphism(args.morphism)
     verdict = decide_pure(f, max_configurations=args.max_configurations)
-    payload = {
-        "morphism": f.to_text(),
-        "status": verdict.status,
-        "k": verdict.k,
-        "period": None if verdict.period is None else str(verdict.period),
-        "iterations_used": verdict.iterations_used,
-        "cycle_detected": verdict.cycle_detected,
-    }
+    payload = {"morphism": f.to_text(), **verdict.to_json()}
     if args.format == "json":
         text = _dumps(payload)
     else:
@@ -145,26 +138,18 @@ def _cmd_eventual(args) -> tuple[str, int]:
     f = _load_morphism(args.morphism)
     f.require_prolongable()
     form = rank1_decompose(matrix_of(f))
-    witness = None
-    for k in range(1, args.kmax + 1):
-        witness = eventual_check_at(f, form, k)
-        if witness is not None:
-            break
+    budget = ClassifyOptions().eventual_offset_budget
+    witness, k_scanned = eventual_scan(f, form, args.kmax, budget)
     payload = {
         "morphism": f.to_text(),
         "k_max": args.kmax,
-        "witness": None
-        if witness is None
-        else {
-            "k": witness.k,
-            "cut_offset": str(witness.cut_offset),
-            "period": str(witness.period),
-        },
+        "k_scanned": k_scanned,
+        "witness": None if witness is None else witness.to_json(),
     }
     if args.format == "json":
         text = _dumps(payload)
     elif witness is None:
-        text = f"no eventual witness for k <= {args.kmax}\n"
+        text = f"no eventual witness for k <= {k_scanned}\n"
     else:
         text = (
             f"witness: k {witness.k}, cut offset {witness.cut_offset},"
@@ -270,14 +255,7 @@ def _cmd_periodic(args) -> tuple[str, int]:
     _require_format(args.format, ("json", "text"))
     f = _load_morphism(args.morphism)
     verdict = decide_periodic(f, args.max_period, args.max_preperiod)
-    payload = {
-        "morphism": f.to_text(),
-        "status": verdict.status,
-        "preperiod_word": None if verdict.preperiod is None else str(verdict.preperiod),
-        "period_word": None if verdict.period is None else str(verdict.period),
-        "max_preperiod": verdict.max_preperiod,
-        "max_period": verdict.max_period,
-    }
+    payload = {"morphism": f.to_text(), **verdict.to_json()}
     if args.format == "json":
         text = _dumps(payload)
     elif verdict.found:
@@ -403,13 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         text, code = _HANDLERS[args.verb](args)
         _emit(text, args.output)
         return code
-    except _UsageError as exc:
-        print(f"abmorph: {exc}", file=sys.stderr)
-        return 1
-    except AbmorphError as exc:
-        print(f"abmorph: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (_UsageError, AbmorphError, OSError, ValueError) as exc:
         print(f"abmorph: {exc}", file=sys.stderr)
         return 1
 

@@ -104,6 +104,17 @@ class SpectralProfile:
     theta2_abs_class: str
     primitive: bool
 
+    def to_json(self) -> dict:
+        return {
+            "trace": self.trace,
+            "determinant": self.determinant,
+            "discriminant": self.discriminant,
+            "theta2_kind": self.theta2_kind,
+            "theta2_value": self.theta2_value,
+            "theta2_abs_class": self.theta2_abs_class,
+            "primitive": self.primitive,
+        }
+
 
 def _abs_class_irrational(trace: int, det: int, disc: int) -> str:
     # theta2 = (trace - sqrt(disc)) / 2 with sqrt(disc) irrational, so
@@ -172,6 +183,25 @@ class FrequencyReport:
     def freq_b_float(self) -> float:
         return float(self.rational_b) + float(self.coef_b) * math.sqrt(self.discriminant)
 
+    def to_json(self) -> dict:
+        """Exact rationals as "p/q" strings, denominator always written."""
+
+        def ratio(x: Fraction) -> str:
+            return f"{x.numerator}/{x.denominator}"
+
+        return {
+            "discriminant": self.discriminant,
+            "rational": self.rational,
+            "a": {
+                "rational_part": ratio(self.rational_a),
+                "sqrt_coefficient": ratio(self.coef_a),
+            },
+            "b": {
+                "rational_part": ratio(self.rational_b),
+                "sqrt_coefficient": ratio(self.coef_b),
+            },
+        }
+
 
 def letter_frequencies(f: BinaryMorphism) -> FrequencyReport:
     """Perron frequencies (freq_a, freq_b) of the letters in f^omega(a).
@@ -216,6 +246,16 @@ class Rank1Form:
     @property
     def block_unit(self) -> int:
         return self.A + self.B
+
+    def to_json(self) -> dict:
+        return {
+            "A": self.A,
+            "B": self.B,
+            "n": self.n,
+            "m": self.m,
+            "trace": self.trace,
+            "block_unit": self.block_unit,
+        }
 
 
 def rank1_decompose(m: MorphismMatrix) -> Rank1Form:

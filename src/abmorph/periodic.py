@@ -55,6 +55,15 @@ class PeriodicityVerdict:
     def found(self) -> bool:
         return self.status == "periodic"
 
+    def to_json(self) -> dict:
+        return {
+            "status": self.status,
+            "preperiod_word": None if self.preperiod is None else str(self.preperiod),
+            "period_word": None if self.period is None else str(self.period),
+            "max_preperiod": self.max_preperiod,
+            "max_period": self.max_period,
+        }
+
 
 def default_search_bound(f: BinaryMorphism) -> int:
     total = len(f.image_a) + len(f.image_b)

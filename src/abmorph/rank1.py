@@ -173,6 +173,16 @@ class PureVerdict:
     iterations_used: int
     cycle_detected: bool
 
+    def to_json(self) -> dict:
+        """Periods can exceed 53 bits, so they are decimal strings."""
+        return {
+            "status": self.status,
+            "k": self.k,
+            "period": None if self.period is None else str(self.period),
+            "iterations_used": self.iterations_used,
+            "cycle_detected": self.cycle_detected,
+        }
+
 
 def decide_pure(f: BinaryMorphism, max_configurations: int = 10**6) -> PureVerdict:
     """Decide whether f^omega(a) is purely abelian periodic.
@@ -221,6 +231,13 @@ class EventualWitness:
     cut_offset: int
     period: int
 
+    def to_json(self) -> dict:
+        return {
+            "k": self.k,
+            "cut_offset": str(self.cut_offset),
+            "period": str(self.period),
+        }
+
 
 def _cyclic_chunk_counts(f, seed, parts, k, period, offset):
     """a-counts of the `parts` length-`period` chunks of the cyclic shift of
@@ -267,6 +284,27 @@ def eventual_check_at(f: BinaryMorphism, form: Rank1Form, k: int):
         if eventual_conditions_at(f, form, k, c).witness:
             return EventualWitness(k, c, period)
     return None
+
+
+def eventual_scan(
+    f: BinaryMorphism, form: Rank1Form, k_max: int, offset_budget: int
+) -> tuple[EventualWitness | None, int]:
+    """Run eventual_check_at on levels k = 1..k_max, stopping before a level
+    whose offset count (its period) would overrun the remaining budget.
+
+    Returns the first witness, or None, and the last level scanned."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
+    budget = offset_budget
+    for k in range(1, k_max + 1):
+        period = form.block_unit * form.trace ** (k - 1)
+        if period > budget:
+            return None, k - 1
+        budget -= period
+        witness = eventual_check_at(f, form, k)
+        if witness is not None:
+            return witness, k
+    return None, k_max
 
 
 def block_position_residues(

@@ -297,31 +297,11 @@ def fixed_point_prefix(f: BinaryMorphism, length: int) -> Word:
     return Word(_expand_prefix([f.image_a.data, f.image_b.data], A, length))
 
 
-def _mat2_mul(x, y):
-    (a, b), (c, d) = x
-    (e, g), (h, k) = y
-    return ((a * e + b * h, a * g + b * k), (c * e + d * h, c * g + d * k))
-
-
-def _mat2_pow(m, t: int):
-    result = ((1, 0), (0, 1))
-    base = m
-    while t:
-        if t & 1:
-            result = _mat2_mul(result, base)
-        base = _mat2_mul(base, base)
-        t >>= 1
-    return result
-
-
 def power_lengths(f: BinaryMorphism, t: int) -> tuple[int, int]:
     """(|f^t(a)|, |f^t(b)|) via exact integer matrix powers; t = 0 gives (1, 1)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    pa, pb = parikh(f.image_a), parikh(f.image_b)
-    m = ((pa.count_a, pb.count_a), (pa.count_b, pb.count_b))
-    mt = _mat2_pow(m, t)
-    return (mt[0][0] + mt[1][0], mt[0][1] + mt[1][1])
+    from .matrices import matrix_of  # matrices imports this module
+
+    return matrix_of(f).pow(t).column_sums()
 
 
 def primitive_root(u: Word | str) -> Word:

@@ -222,6 +222,24 @@ class TestVerdictReport:
             b = json.dumps(verdict_report(f, classify(f)), sort_keys=True)
             assert a == b
 
+    @pytest.mark.parametrize("text,attr,path", [
+        ("a->ab; b->aabb", "spectral", ("spectral",)),
+        ("a->ab; b->aabb", "rank1", ("rank1",)),
+        ("a->ab; b->aabb", "frequencies", ("frequencies",)),
+        ("a->ab; b->aabb", "pure", ("witnesses", "pure")),
+        ("a->ab; b->aabb", "eventual", ("witnesses", "eventual")),
+        ("a->ab; b->b", "periodicity", ("witnesses", "periodicity")),
+        ("a->aab; b->b", "evidence", ("evidence",)),
+    ])
+    def test_to_json_keys_match_schema(self, text, attr, path):
+        part = getattr(classify(parse_morphism(text)), attr)
+        schema = VERDICT_REPORT_SCHEMA
+        for key in path:
+            schema = schema["properties"][key]
+        if "anyOf" in schema:
+            schema = schema["anyOf"][1]
+        assert list(part.to_json()) == schema["required"]
+
     def test_answer_fields_match_verdict(self, corpus):
         for entry in corpus:
             f = parse_morphism(entry.text)

@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, formats, determinism, batch mode."""
 
 import json
+from functools import lru_cache
 
 import pytest
 
+from abmorph import classify, parse_morphism, verdict_report
 from abmorph.cli import main
 
 
@@ -113,6 +115,21 @@ class TestErrorPaths:
     def test_missing_required_option(self, capsys):
         code, _, err = run(capsys, "prefix", "a->ab; b->ba")
         assert code == 1 and err != ""
+
+    @pytest.mark.parametrize("argv", [
+        ("prefix", "a->ab; b->ba", "--length", "-1"),
+        ("path", "a->ab; b->ba", "--length", "-2"),
+        ("complexity", "a->ab; b->ba", "--nmax", "0"),
+        ("residues", "a->ab; b->bbaa", "--t", "0", "--d", "5"),
+        ("classify", "a->aab; b->b", "--max-period", "0"),
+        ("oracle", "a->ab; b->ba", "--max-period", "0"),
+        ("eventual", "a->ab; b->bbaa", "--kmax", "-3"),
+        ("classify", "a->ab; b->bbaa", "--kmax", "-3"),
+    ], ids=" ".join)
+    def test_bad_values_are_reported(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("abmorph:")
 
 
 class TestPrefixCommand:
@@ -226,6 +243,42 @@ class TestEventualCommand:
                            "--kmax", "3")
         assert code == 2
         assert json.loads(out)["witness"] is None
+
+    def test_reports_levels_scanned(self, capsys):
+        _, out, _ = run(capsys, "eventual", "a->ab; b->bbaa", "--kmax", "3")
+        assert json.loads(out)["k_scanned"] == 3
+        _, out, _ = run(capsys, "eventual", "a->ab; b->bbaa", "--kmax", "3",
+                        "--format", "text")
+        assert out == "no eventual witness for k <= 3\n"
+
+
+@lru_cache(maxsize=None)
+def _report(text):
+    f = parse_morphism(text)
+    return verdict_report(f, classify(f))
+
+
+class TestSerializerAgreement:
+    """The pure, periodic and eventual verbs print the report's witnesses."""
+
+    @pytest.mark.parametrize("verb,text,section", [
+        ("pure", "a->ab; b->aabb", "pure"),
+        ("pure", "a->ab; b->bbaa", "pure"),
+        ("periodic", "a->ab; b->b", "periodicity"),
+    ])
+    def test_verb_matches_report(self, capsys, verb, text, section):
+        _, out, _ = run(capsys, verb, text)
+        witness = _report(text)["witnesses"][section]
+        assert json.loads(out) == {"morphism": text, **witness}
+
+    @pytest.mark.parametrize("text", ["a->ab; b->aabb", "a->ab; b->bbaa"])
+    def test_eventual_matches_report(self, capsys, text):
+        _, out, _ = run(capsys, "eventual", text)
+        payload, report = json.loads(out), _report(text)
+        assert payload["morphism"] == text
+        assert payload["witness"] == report["witnesses"]["eventual"]
+        if payload["witness"] is None:
+            assert payload["k_scanned"] == report["bounds"]["eventual_k_scanned"]
 
 
 class TestPureCommand:

@@ -18,6 +18,7 @@ from abmorph import (
     decide_pure,
     eventual_check_at,
     eventual_conditions_at,
+    eventual_scan,
     fixed_point_prefix,
     matrix_of,
     parikh,
@@ -232,6 +233,25 @@ class TestEventual:
         form = form_of(f)
         with pytest.raises(ValueError):
             eventual_conditions_at(f, form, 1, 2)
+
+
+class TestEventualScan:
+    def test_first_witness_and_level(self):
+        f = parse_morphism("a->ab; b->aabb")
+        wit, scanned = eventual_scan(f, form_of(f), 8, 10**6)
+        assert (wit.k, wit.cut_offset, wit.period, scanned) == (1, 1, 2, 1)
+
+    def test_budget_stops_before_overrun(self):
+        # level periods are 2, 6, 18, ...; a budget of 12 covers levels 1-2
+        f = parse_morphism("a->ab; b->bbaa")
+        assert eventual_scan(f, form_of(f), 8, 12) == (None, 2)
+        assert eventual_scan(f, form_of(f), 8, 1) == (None, 0)
+
+    def test_kmax_bounds(self):
+        f = parse_morphism("a->ab; b->bbaa")
+        assert eventual_scan(f, form_of(f), 0, 10**6) == (None, 0)
+        with pytest.raises(ValueError):
+            eventual_scan(f, form_of(f), -1, 10**6)
 
 
 class TestBlockLength:
