@@ -40,6 +40,12 @@ def _prefix_counts(arr: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _window_spread(counts: np.ndarray, length: int) -> int:
+    """imbalance_at(word, length), given the prefix counts of the word."""
+    win = counts[length:] - counts[:-length]
+    return int(win.max() - win.min())
+
+
 @dataclass(frozen=True)
 class AbelianPeriodWitness:
     preperiod: int
@@ -132,9 +138,7 @@ def imbalance_at(source, length: int) -> int:
         raise HorizonTooShortError(
             f"window length {length} does not fit in a prefix of {arr.size}"
         )
-    counts = _prefix_counts(arr)
-    win = counts[length:] - counts[:-length]
-    return int(win.max() - win.min())
+    return _window_spread(_prefix_counts(arr), length)
 
 
 def complexity_profile(source, nmax: int) -> ComplexityProfile:
@@ -155,8 +159,7 @@ def complexity_profile(source, nmax: int) -> ComplexityProfile:
     lengths = np.arange(1, nmax + 1, dtype=np.int64)
     imbalance = np.empty(nmax, dtype=np.int64)
     for i, ell in enumerate(lengths):
-        win = counts[ell:] - counts[:-ell]
-        imbalance[i] = win.max() - win.min()
+        imbalance[i] = _window_spread(counts, ell)
     return ComplexityProfile(arr.size, lengths, imbalance + 1, imbalance)
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .analysis import imbalance_at
-from .errors import NotPrimitiveError
+from .analysis import _prefix_counts, _window_spread
 from .matrices import (
     ABS_EQ_ONE,
     ABS_GT_ONE,
@@ -160,12 +159,12 @@ def imbalance_evidence(
     count spread reaching `target`; keep the best seen otherwise."""
     if horizon < 2:
         return None
-    prefix = fixed_point_prefix(f, horizon)
-    n = len(prefix)
+    counts = _prefix_counts(fixed_point_prefix(f, horizon).data)
+    n = counts.size - 1
     best_len, best_im = 1, 0
     ell = 1
     while ell <= n // 2:
-        im = imbalance_at(prefix, ell)
+        im = _window_spread(counts, ell)
         if im > best_im:
             best_len, best_im = ell, im
             if im >= target:

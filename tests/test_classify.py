@@ -19,12 +19,15 @@ from abmorph import (
     ClassifyOptions,
     classify,
     fixed_point_prefix,
+    imbalance_at,
+    imbalance_evidence,
     parse_morphism,
     special_form_exponents,
     square,
     validate_abelian_period,
     verdict_report,
 )
+from conftest import random_morphism
 
 
 class TestSpecialFormExponents:
@@ -119,6 +122,30 @@ class TestBranchDetails:
             assert v.evidence is not None
             assert v.evidence.reached
             assert v.evidence.imbalance >= 4
+
+    def test_evidence_matches_window_scan(self, rng):
+        # The same geometric scan, one imbalance_at call per window length.
+        def scan(f, horizon, target):
+            prefix = fixed_point_prefix(f, horizon)
+            best = (1, 0)
+            ell = 1
+            while ell <= horizon // 2:
+                im = imbalance_at(prefix, ell)
+                if im > best[1]:
+                    best = (ell, im)
+                    if im >= target:
+                        return ell, im, True
+                ell = max(ell + 1, (ell * 181) // 128)
+            return best + (False,)
+
+        for _ in range(60):
+            f = random_morphism(rng, max_len=7)
+            horizon = rng.choice([2, 3, 50, 1000, 10**4])
+            target = rng.randint(1, 8)
+            ev = imbalance_evidence(f, horizon, target)
+            assert (ev.window_length, ev.imbalance, ev.reached) == \
+                scan(f, horizon, target), f
+            assert (ev.horizon, ev.target) == (horizon, target)
 
     def test_evidence_can_be_disabled(self):
         opts = ClassifyOptions(collect_evidence=False)

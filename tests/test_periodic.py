@@ -13,11 +13,31 @@ from abmorph import (
     periodic_prefix,
     validate_abelian_period,
 )
-from oracles import eventually_periodic_prefix
+from conftest import random_morphism
+from oracles import eventually_periodic_prefix, naive_decide_periodic
 
 
 def W(s):
     return Word.from_str(s)
+
+
+def random_nonprimitive(rng, max_len=5):
+    """Prolongable morphism whose matrix is not primitive: f(b) in b+ or
+    f(a) in a+."""
+    def word(n):
+        return "".join(rng.choice("ab") for _ in range(n))
+
+    if rng.random() < 0.5:
+        ia, ib = "a" + word(rng.randint(1, max_len - 1)), "b" * rng.randint(1, 3)
+    else:
+        ia, ib = "a" * rng.randint(2, max_len), word(rng.randint(1, max_len))
+    return parse_morphism(f"a->{ia}; b->{ib}")
+
+
+def presentation(verdict):
+    if not verdict.found:
+        return None
+    return str(verdict.preperiod), str(verdict.period)
 
 
 class TestPeriodicPrefix:
@@ -100,6 +120,35 @@ class TestDecidePeriodic:
             wit = abelian_period_oracle(w, max(p, 1), r)
             assert wit is not None
             assert wit.preperiod <= r and wit.period <= p
+
+    def test_matches_naive_grid(self, rng):
+        # non-primitive morphisms as classify sends them, plus general ones
+        for i in range(400):
+            f = random_nonprimitive(rng) if i % 2 else random_morphism(rng)
+            max_p, max_r = rng.randint(1, 6), rng.randint(0, 8)
+            expected = naive_decide_periodic(
+                str(f.image_a), str(f.image_b), max_p, max_r)
+            assert presentation(decide_periodic(f, max_p, max_r)) == expected, f
+
+    def test_matches_naive_grid_default_bounds(self, rng):
+        texts = ["a->ab; b->b", "a->aab; b->b", "a->aa; b->ab",
+                 "a->abb; b->bb", "a->aaa; b->bab"]
+        texts += [random_nonprimitive(rng, 4).to_text() for _ in range(3)]
+        for text in texts:
+            f = parse_morphism(text)
+            bound = default_search_bound(f)
+            expected = naive_decide_periodic(
+                str(f.image_a), str(f.image_b), bound, bound)
+            assert presentation(decide_periodic(f)) == expected, text
+
+    def test_period_bound_is_inclusive(self):
+        # (ab)^omega and a b^omega: the period may equal max_period, not exceed it
+        f = parse_morphism("a->aba; b->bab")
+        assert presentation(decide_periodic(f, 2, 0)) == ("", "ab")
+        assert not decide_periodic(f, 1, 4).found
+        g = parse_morphism("a->ab; b->b")
+        assert presentation(decide_periodic(g, 1, 1)) == ("a", "b")
+        assert not decide_periodic(g, 1, 0).found
 
     def test_rejects_bad_bounds(self):
         f = parse_morphism("a->ab; b->b")

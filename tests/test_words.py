@@ -1,5 +1,7 @@
 """Words, morphisms, fixed points, conjugation."""
 
+import tracemalloc
+
 import pytest
 
 from abmorph import (
@@ -193,6 +195,19 @@ class TestFixedPoint:
     def test_requires_prolongable(self):
         with pytest.raises(NotProlongableError):
             fixed_point_prefix(parse_morphism("a->ba; b->ab"), 5)
+
+    def test_last_round_is_capped(self):
+        # Each round expands only the letters whose images reach the
+        # requested length; expanding the whole last block peaks near 23.5 MiB.
+        f = parse_morphism("a->aaabaaabaaababbb; b->aaababbbabbbabbb")
+        tracemalloc.start()
+        try:
+            w = fixed_point_prefix(f, 10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) == 10**5
+        assert peak <= 4 * 2**20
 
     def test_fixed_point_is_fixed(self, rng):
         # f(prefix) starts with the prefix itself.
