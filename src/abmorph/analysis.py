@@ -34,9 +34,11 @@ def _as_array(source) -> np.ndarray:
 
 
 def _prefix_counts(arr: np.ndarray) -> np.ndarray:
-    """P[i] = number of a's (letter code 0) among the first i letters."""
-    counts = np.zeros(arr.size + 1, dtype=np.int64)
-    np.cumsum(arr == 0, out=counts[1:])
+    """P[i] = number of a's (letter code 0) among the first i letters; int32
+    (4 bytes per letter) while every count fits."""
+    dtype = np.int32 if arr.size < 2**31 else np.int64
+    counts = np.zeros(arr.size + 1, dtype=dtype)
+    np.cumsum(arr == 0, dtype=dtype, out=counts[1:])
     return counts
 
 

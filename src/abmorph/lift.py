@@ -98,9 +98,9 @@ def lift_fixed_prefix(lift: UniformLift, length: int) -> np.ndarray:
 
 def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:
     """Does the coded lifted fixed point reproduce f^omega(a) on `length` letters?"""
-    states = lift_fixed_prefix(lift, length)
     codes = np.array([0 if c == "a" else 1 for c in lift.coding], dtype=np.uint8)
-    coded = codes[states]
+    # the int32 states die here, before the letter prefix is built
+    coded = codes[lift_fixed_prefix(lift, length)]
     return bool(np.array_equal(coded, fixed_point_prefix(f, length).data))
 
 

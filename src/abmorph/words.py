@@ -1,8 +1,10 @@
 """Binary words, Parikh vectors, and binary morphisms.
 
-Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b);
-building a fixed-point prefix peaks at 12-19 bytes per letter (tracemalloc,
-1e7 letters of Thue-Morse, Fibonacci, a->ab; b->bbaa). Counting is exact.
+Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b).
+A fixed-point prefix is built in place in its own buffer, with a gather of a
+few MiB per chunk on top: the tracemalloc peak is 1.2-1.3 bytes per letter at
+1e7 letters of Thue-Morse, Fibonacci and a->ab; b->bbaa, and 1.02-1.03 at 1e8
+letters (about 103 MB). Counting is exact.
 """
 
 from __future__ import annotations
@@ -51,6 +53,15 @@ class Word:
         arr = arr.copy()
         arr.setflags(write=False)
         self._data = arr
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "Word":
+        """Wrap a fresh uint8 array of letter codes without copying or
+        checking it; the caller hands the array over."""
+        arr.setflags(write=False)
+        word = cls.__new__(cls)
+        word._data = arr
+        return word
 
     @classmethod
     def from_str(cls, s: str) -> "Word":
@@ -173,7 +184,11 @@ class BinaryMorphism:
     def apply(self, u: Word | str) -> Word:
         if isinstance(u, str):
             u = Word.from_str(u)
-        return Word(_apply_images([self.image_a.data, self.image_b.data], u.data))
+        la, lb = self.lengths()
+        nb = int(np.count_nonzero(u.data))
+        out = np.empty((len(u) - nb) * la + nb * lb, dtype=np.uint8)
+        _apply_images([self.image_a.data, self.image_b.data], u.data, out)
+        return Word._adopt(out)
 
     def __call__(self, u: Word | str) -> Word:
         return self.apply(u)
@@ -242,55 +257,83 @@ def parse_morphism(text: str) -> BinaryMorphism:
     return BinaryMorphism(images["a"], images["b"])
 
 
-def _apply_images(images: list[np.ndarray], arr: np.ndarray) -> np.ndarray:
-    """Concatenate images[c] over the letters c of arr, fully vectorized.
+_CHUNK = 2**16  # input letters per gather in _apply_images
 
-    Output dtype follows the image arrays, so the same kernel serves binary
-    words (uint8) and lifted alphabets with more letters."""
-    dtype = images[0].dtype
-    if arr.size == 0:
-        return np.empty(0, dtype=dtype)
+
+def _apply_images(
+    images: list[np.ndarray], arr: np.ndarray, out: np.ndarray
+) -> tuple[int, int]:
+    """Write images[c], over the letters c of arr, into out; return
+    (written, consumed).
+
+    Stops at the first image that does not fit whole in out, so the caller
+    sizes out to bound the work. arr is read in chunks of _CHUNK letters;
+    each chunk is one vectorized gather from the concatenated images, whose
+    indices rise by 1 inside an image and jump between images, so one
+    cumulative sum over the chunk's output builds them. The int64 temporaries
+    are bounded by the chunk, not by the word. out's dtype follows the image
+    arrays, so the same kernel serves binary words (uint8) and lifted
+    alphabets with more letters (int32)."""
     sizes = np.array([im.size for im in images], dtype=np.int64)
-    maxlen = int(sizes.max())
-    padded = np.zeros((len(images), maxlen), dtype=dtype)
-    for i, im in enumerate(images):
-        padded[i, : im.size] = im
-    counts = sizes[arr]
-    total = int(counts.sum())
-    starts = np.cumsum(counts) - counts
-    src = np.repeat(arr.astype(np.int64), counts)
-    pos = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    return padded[src, pos]
+    flat = np.concatenate(images)
+    last = np.cumsum(sizes) - 1  # flat index of c[-1]
+    first = last - sizes + 1  # flat index of c[0]
+    written = consumed = 0
+    while consumed < arr.size:
+        chunk = arr[consumed : consumed + _CHUNK]
+        ends = sizes[chunk]
+        np.cumsum(ends, out=ends)
+        n = int(np.searchsorted(ends, out.size - written, side="right"))
+        if n == 0:
+            break
+        total = int(ends[n - 1])
+        jumps = first[chunk[1:n]]
+        jumps -= last[chunk[: n - 1]]
+        idx = np.ones(total, dtype=np.int64)
+        idx[0] = first[chunk[0]]
+        idx[ends[: n - 1]] = jumps
+        del ends, jumps  # so that no two chunks' arrays are alive at once
+        np.cumsum(idx, out=idx)
+        # "clip" writes straight into out; "raise" would buffer a copy
+        np.take(flat, idx, out=out[written : written + total], mode="clip")
+        del idx
+        written += total
+        consumed += n
+        if n < chunk.size:
+            break  # the next image does not fit
+    return written, consumed
 
 
 def _expand_prefix(images: list[np.ndarray], start: int, length: int) -> np.ndarray:
-    """First `length` letters of the fixed point of the morphism given by
-    `images`, prolongable on `start`.
+    """First `length` >= 0 letters of the fixed point of the morphism given
+    by `images`, prolongable on `start`, built in place in one buffer.
 
     Uses the telescoping factorization  s = start . x . f(x) . f^2(x) ...
-    where images[start] = start . x, so each round is one vectorized morphism
-    application. A stationary block (f(x) = x) means the tail is x^omega and
-    is tiled directly; that keeps linear-growth morphisms at O(length).
+    where images[start] = start . x: each round reads its block as a view
+    out[lo:total] and writes the block's image straight after it. The buffer
+    holds length + max|image| letters, so _apply_images stops each round once
+    the requested length is reached. A stationary block (f(x) = x) means the
+    tail is x^omega; it is tiled by copying the filled periodic part forward,
+    doubling each time, which keeps linear-growth morphisms at O(length).
+    The result is a view of the buffer.
     """
-    if length <= 0:
-        return np.empty(0, dtype=images[start].dtype)
     head = images[start]
-    parts = [np.array([start], dtype=head.dtype), head[1:]]
-    total = int(head.size)
-    block = head[1:]
-    sizes = np.array([im.size for im in images], dtype=np.int64)
+    out = np.empty(length + max(im.size for im in images), dtype=head.dtype)
+    out[: head.size] = head
+    lo, total = 1, int(head.size)
     while total < length:
-        # expand only the letters whose images reach the requested length
-        block = block[: int(np.searchsorted(np.cumsum(sizes[block]), length - total)) + 1]
-        nxt = _apply_images(images, block)
-        if nxt.size == block.size and np.array_equal(nxt, block):
-            reps = -(-(length - total) // block.size)
-            parts.append(np.tile(block, reps))
+        written, consumed = _apply_images(images, out[lo:total], out[total:])
+        filled = total + written
+        if consumed == written == total - lo and np.array_equal(
+            out[lo:total], out[total:filled]
+        ):
+            while filled < length:
+                n = min(filled - lo, length - filled)
+                out[filled : filled + n] = out[lo : lo + n]
+                filled += n
             break
-        parts.append(nxt)
-        total += int(nxt.size)
-        block = nxt
-    return np.concatenate(parts)[:length]
+        lo, total = total, filled
+    return out[:length]
 
 
 def fixed_point_prefix(f: BinaryMorphism, length: int) -> Word:
@@ -298,7 +341,7 @@ def fixed_point_prefix(f: BinaryMorphism, length: int) -> Word:
     f.require_prolongable()
     if length < 0:
         raise ValueError("length must be >= 0")
-    return Word(_expand_prefix([f.image_a.data, f.image_b.data], A, length))
+    return Word._adopt(_expand_prefix([f.image_a.data, f.image_b.data], A, length))
 
 
 def power_lengths(f: BinaryMorphism, t: int) -> tuple[int, int]:

@@ -104,3 +104,27 @@ def naive_decide_periodic(image_a: str, image_b: str, max_period: int,
                     eventually_periodic_prefix(u, w, n):
                 return u, w
     return None
+
+
+def naive_fixed_point_codes(images: list[list[int]], length: int) -> list[int]:
+    # Letters are list indices; requires images[0] to start with 0 and to
+    # grow, so that the loop reaches `length`.
+    w = [0]
+    while len(w) < length:
+        w = [c for s in w for c in images[s]]
+    return w[:length]
+
+
+def last_round_lengths(images: list[list[int]], m: int) -> list[int]:
+    """Prefix lengths at which the last expansion round stops at the image
+    of block letter m: one letter short of the images of the first m
+    letters of the block, and exactly them.
+
+    The prefix is start . x . f(x) . f^2(x) ...; a round reads the block
+    f^k(x) = f^(k+1)(start)[|f^k(start)|:] and writes its image after it.
+    Requires a block longer than m + 1 letters to appear."""
+    w, lo = list(images[0]), 1
+    while len(w) - lo <= m + 1:
+        lo, w = len(w), [c for s in w for c in images[s]]
+    width = sum(len(images[c]) for c in w[lo:lo + m])
+    return [len(w) + width - 1, len(w) + width]

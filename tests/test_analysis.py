@@ -209,3 +209,30 @@ class TestTheta2OneInvariant:
     def test_wrong_case_rejected(self, text):
         with pytest.raises(WrongSpectralCaseError):
             theta2_one_invariant_check(parse_morphism(text), "ab")
+
+
+class TestPrefixCountWidth:
+    """Prefix counts are int32 below 2**31 letters; counts past the int16
+    range must stay exact."""
+
+    def test_counts_past_int16(self):
+        from abmorph.analysis import _prefix_counts
+
+        w = ("a" * 33000 + "b") * 3
+        counts = _prefix_counts(fixed_point_prefix(parse_morphism("a->ab; b->ba"), 0).data)
+        assert counts.tolist() == [0]
+        counts = _prefix_counts(np.frombuffer(w.encode(), dtype=np.uint8) - ord("a"))
+        assert counts.itemsize == 4
+        assert int(counts[-1]) == 99000
+        assert int(counts[33001]) == 33000
+
+    def test_scans_past_int16(self):
+        w = ("a" * 33000 + "b") * 3
+        assert validate_abelian_period(w, 0, 33001)
+        assert not validate_abelian_period(w, 0, 33000)
+        assert imbalance_at(w, 33001) == 0
+        assert imbalance_at(w, 33000) == 1
+        assert imbalance_at("a" * 40000 + "b" * 40000, 40000) == 40000
+        witness = abelian_period_oracle("a" * 40000 + "b" * 40000, 2, 40000)
+        assert (witness.preperiod, witness.period) == (40000, 1)
+        assert complexity_profile(w, 3).complexity.tolist() == [2, 2, 2]

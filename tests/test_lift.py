@@ -1,6 +1,7 @@
 """Uniform lift to an extended alphabet and its base-k automaton."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -19,7 +20,9 @@ from abmorph import (
     parse_morphism,
     rank1_decompose,
 )
+from abmorph.words import _CHUNK
 from conftest import random_rank1_morphism
+from oracles import last_round_lengths, naive_fixed_point_codes
 
 
 def lift_of(text):
@@ -151,3 +154,36 @@ class TestDfaoExport:
         table1 = json.dumps(dfao_table(lift), sort_keys=True)
         table2 = json.dumps(dfao_table(lift), sort_keys=True)
         assert table1 == table2
+
+
+class TestLiftKernel:
+    """The int32 lift alphabet through the chunked in-place expansion."""
+
+    def test_matches_naive_around_chunk_boundaries(self, rng):
+        for _ in range(3):
+            f = random_rank1_morphism(rng)
+            lift = build_lift(f, rank1_decompose(matrix_of(f)))
+            images = [list(im) for im in lift.images]
+            lengths = [0, 1, lift.k]
+            for m in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+                lengths += last_round_lengths(images, m)
+            want = naive_fixed_point_codes(images, max(lengths))
+            for n in lengths:
+                got = lift_fixed_prefix(lift, n)
+                assert got.dtype.name == "int32"
+                assert got.tolist() == want[:n], (f, n)
+            assert lift_verify(f, lift, max(lengths))
+
+    def test_memory_per_letter(self):
+        # int32 states are 4 bytes per letter; int64 gather temporaries as
+        # long as the prefix would peak near 17.
+        _, lift = lift_of("a->ab; b->bbaa")
+        n = 2 * 10**6
+        tracemalloc.start()
+        try:
+            states = lift_fixed_prefix(lift, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.size == n
+        assert peak / n <= 6

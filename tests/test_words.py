@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from abmorph import (
@@ -20,8 +21,16 @@ from abmorph import (
     primitive_root,
     square,
 )
+from abmorph.words import _CHUNK, _apply_images, _expand_prefix
 from conftest import random_morphism
-from oracles import naive_apply, naive_fixed_point, naive_parikh, naive_power
+from oracles import (
+    last_round_lengths,
+    naive_apply,
+    naive_fixed_point,
+    naive_fixed_point_codes,
+    naive_parikh,
+    naive_power,
+)
 
 
 class TestWord:
@@ -311,3 +320,90 @@ class TestConjugateNormalize:
         assert res.morphism == parse_morphism("a->ab; b->bab")
         assert res.shift_word == "bab"
         assert res.power == 1
+
+
+def _codes(text: str) -> list[int]:
+    return ["ab".index(c) for c in text]
+
+
+class TestInPlaceKernel:
+    """The chunked in-place expansion against plain string expansion."""
+
+    def test_lengths_around_chunk_boundaries(self, rng):
+        # 0, 1, |f(a)|, and the lengths at which the last round stops at
+        # block letter _CHUNK - 1, _CHUNK or _CHUNK + 1.
+        checked = 0
+        while checked < 4:
+            f = random_morphism(rng)
+            ia, ib = str(f.image_a), str(f.image_b)
+            if ib == "b" and set(ia[1:]) <= {"b"}:
+                continue  # stationary b-blocks: the blocks never grow
+            images = [_codes(ia), _codes(ib)]
+            lengths = [0, 1, len(ia)]
+            for m in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
+                lengths += last_round_lengths(images, m)
+            want = "".join("ab"[c] for c in naive_fixed_point_codes(images, max(lengths)))
+            for n in lengths:
+                assert fixed_point_prefix(f, n) == want[:n], (f, n)
+            checked += 1
+
+    @pytest.mark.parametrize("text", ["a->ab; b->b", "a->abbb; b->b"])
+    def test_stationary_tail_past_a_chunk(self, text):
+        f = parse_morphism(text)
+        for n in (0, 1, len(f.image_a), 2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1):
+            assert fixed_point_prefix(f, n) == ("a" + "b" * n)[:n]
+
+    def test_slow_growth_past_a_chunk(self):
+        f = parse_morphism("a->aab; b->b")
+        for n in (3, 2 * _CHUNK - 1, 2 * _CHUNK + 1, 5 * _CHUNK):
+            assert fixed_point_prefix(f, n) == naive_fixed_point("aab", "b", n)
+
+    def test_stationary_block_with_period_two(self):
+        # f(x) = x for the block x = 1 2, so the tail is (1 2)^omega; the
+        # doubling copy must keep the phase at odd and even lengths.
+        images = [np.array(im, dtype=np.int32) for im in ([0, 1, 2], [1], [2])]
+        for n in (0, 1, 2, 3, 4, 7, 2 * _CHUNK + 1, 2 * _CHUNK + 2):
+            got = _expand_prefix(images, 0, n)
+            assert got.dtype == np.int32
+            assert got.tolist() == ([0] + [1, 2] * n)[:n]
+
+    def test_apply_longer_than_a_chunk(self, rng):
+        f = random_morphism(rng)
+        u = "".join(rng.choice("ab") for _ in range(3 * _CHUNK + 5))
+        ia, ib = str(f.image_a), str(f.image_b)
+        assert f.apply(u) == naive_apply(ia, ib, u)
+
+    def test_kernel_stops_at_the_first_image_that_does_not_fit(self, rng):
+        images = [np.frombuffer(b"\x00\x01\x01", dtype=np.uint8),
+                  np.frombuffer(b"\x00\x01", dtype=np.uint8)]
+        arr = np.array([rng.randrange(2) for _ in range(_CHUNK + 7)], dtype=np.uint8)
+        want = naive_apply("abb", "ab", "".join("ab"[c] for c in arr))
+        for room in (0, 1, 2, 3, 5, 2 * _CHUNK + 1, len(want) - 1, len(want), len(want) + 4):
+            out = np.full(room, 9, dtype=np.uint8)
+            written, consumed = _apply_images(images, arr, out)
+            sizes = [3 if c == 0 else 2 for c in arr]
+            assert written == sum(sizes[:consumed])
+            assert consumed == arr.size or written + sizes[consumed] > room
+            assert "".join("ab"[c] for c in out[:written]) == want[:written]
+            assert (out[written:] == 9).all()
+
+    def test_prefix_is_a_read_only_word(self):
+        w = fixed_point_prefix(parse_morphism("a->ab; b->ba"), 10)
+        assert isinstance(w, Word) and not w.data.flags.writeable
+        assert w == "abbabaabba"
+
+    @pytest.mark.parametrize("text", ["a->ab; b->ba", "a->ab; b->a", "a->ab; b->bbaa"])
+    def test_memory_per_letter(self, text):
+        # The buffer is one byte per letter and the gather temporaries are
+        # bounded by the chunk; int64 temporaries as long as the word would
+        # peak at 12-19 bytes per letter.
+        f = parse_morphism(text)
+        n = 2 * 10**6
+        tracemalloc.start()
+        try:
+            w = fixed_point_prefix(f, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) == n
+        assert peak / n <= 2.5
