@@ -88,26 +88,26 @@ def abelian_period_oracle(source, max_period: int, max_preperiod: int):
         )
     counts = _prefix_counts(arr)
     n = arr.size
-    # valid[r, p-1] says blocks r, r+p, ... all carry the same a-count.
-    valid = np.zeros((max_preperiod + 1, max_period), dtype=bool)
+    best = None
+    # Periods ascend, so a later period wins only with a smaller preperiod:
+    # each hit lowers the preperiod limit below itself.
+    limit = max_preperiod
     for p in range(1, max_period + 1):
+        limit = min(limit, n - 2 * p)  # two complete blocks after r
+        if limit < 0:
+            break
         win = counts[p:] - counts[:-p]  # a-count of each length-p window
-        agree = win[:-p] == win[p:] if win.size > p else np.empty(0, dtype=bool)
-        # ok[i]: all windows at i, i+p, i+2p, ... agree; suffix-AND per residue.
-        ok = np.ones(win.size, dtype=bool)
-        if agree.size:
-            for c in range(p):
-                col = agree[c::p]
-                if col.size:
-                    ok[c::p][:-1] = np.logical_and.accumulate(col[::-1])[::-1]
-        limit = min(max_preperiod, n - 2 * p)
-        if limit >= 0:
-            valid[: limit + 1, p - 1] = ok[: limit + 1]
-    hits = np.argwhere(valid)
-    if hits.size == 0:
-        return None
-    r, pm1 = hits[0]  # argwhere is row-major, so this is (r, p) lexicographic
-    return AbelianPeriodWitness(int(r), int(pm1) + 1, n)
+        agree = win[:-p] == win[p:]
+        # ok[i]: windows i, i+p, i+2p, ... all agree. Laid out in rows of p
+        # (padded with True), that is a suffix-AND down every column.
+        grid = np.ones(-(-agree.size // p) * p, dtype=bool)
+        grid[: agree.size] = agree
+        ok = np.logical_and.accumulate(grid.reshape(-1, p)[::-1], axis=0)[::-1]
+        hits = np.flatnonzero(ok.reshape(-1)[: limit + 1])
+        if hits.size:
+            best = AbelianPeriodWitness(int(hits[0]), p, n)
+            limit = int(hits[0]) - 1
+    return best
 
 
 @dataclass(frozen=True)

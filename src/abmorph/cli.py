@@ -296,6 +296,7 @@ def _build_parser() -> _Parser:
         description="Classify fixed points of binary morphisms by abelian periodicity.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    defaults = ClassifyOptions()
 
     def add(verb, help_text, default_format, formats, needs_morphism=True):
         p = sub.add_parser(verb, help=help_text)
@@ -311,17 +312,17 @@ def _build_parser() -> _Parser:
 
     p = add("classify", "full classification with verdict report", "json", ("json", "text"))
     p.add_argument("--corpus", default=None, help="file with one morphism per line")
-    p.add_argument("--kmax", type=int, default=8, help="eventual witness scan depth")
-    p.add_argument("--horizon", type=int, default=10**5, help="evidence prefix length")
+    p.add_argument("--kmax", type=int, default=defaults.eventual_k_max, help="eventual witness scan depth")
+    p.add_argument("--horizon", type=int, default=defaults.horizon, help="evidence prefix length")
     p.add_argument("--max-period", type=int, default=None)
     p.add_argument("--max-preperiod", type=int, default=None)
-    p.add_argument("--max-configurations", type=int, default=10**6)
+    p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)
 
     p = add("pure", "decide pure abelian periodicity (rank-1 only)", "json", ("json", "text"))
-    p.add_argument("--max-configurations", type=int, default=10**6)
+    p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)
 
     p = add("eventual", "scan for an eventual abelian-period witness", "json", ("json", "text"))
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=int, default=defaults.eventual_k_max)
 
     p = add("prefix", "emit a prefix of the fixed point", "text", ("text", "json"))
     p.add_argument("--length", type=int, required=True)

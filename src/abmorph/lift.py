@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateTraceError, OutOfRangeError
 from .matrices import Rank1Form
-from .words import BinaryMorphism, Word, _expand_prefix, fixed_point_prefix
+from .words import BinaryMorphism, _expand_prefix, fixed_point_prefix
 
 
 @dataclass(frozen=True)
@@ -51,39 +51,28 @@ class UniformLift:
         return f"{c}{i}"
 
 
-def _position_codes(f: BinaryMorphism, la: int, u: Word) -> np.ndarray:
-    """Concatenation, over the letters c of u, of the id runs for the pairs
-    (c, 0), ..., (c, |f(c)|-1)."""
-    runs = {
-        "a": np.arange(la, dtype=np.int32),
-        "b": np.arange(la, la + len(f.image_b), dtype=np.int32),
-    }
-    if len(u) == 0:
-        return np.empty(0, dtype=np.int32)
-    return np.concatenate([runs[c] for c in u])
-
-
 def build_lift(f: BinaryMorphism, form: Rank1Form) -> UniformLift:
     """Construct the k-uniform lift, k being the rank-1 trace.
 
     The image of (c, i) is the i-th length-k chunk of the annotated
-    factorization of f(f(c)) into blocks f(d), d over the letters of f(c)."""
+    factorization of f(f(c)) into blocks f(d), d over the letters of f(c):
+    the concatenation of the id runs (d, 0), ..., (d, |f(d)|-1)."""
     f.require_prolongable()
     k = form.trace
     if k < 2:
         raise DegenerateTraceError(f"lift needs trace >= 2, got {k}")
-    la, lb = len(f.image_a), len(f.image_b)
+    image_a, image_b = str(f.image_a), str(f.image_b)
+    la, lb = len(image_a), len(image_b)
+    runs = {"a": range(la), "b": range(la, la + lb)}
     images: list[tuple[int, ...]] = []
-    for c in ("a", "b"):
-        ann = _position_codes(f, la, f.image(c))
-        if ann.size != k * len(f.image(c)):
+    for image in (image_a, image_b):
+        ann = [s for d in image for s in runs[d]]
+        if len(ann) != k * len(image):
             raise DegenerateTraceError(
                 "image lengths do not scale by the trace; the matrix is not rank 1"
             )
-        for i in range(len(f.image(c))):
-            images.append(tuple(int(s) for s in ann[i * k : (i + 1) * k]))
-    coding = tuple(c for c in str(f.image_a) + str(f.image_b))
-    lift = UniformLift(la, lb, k, tuple(images), coding)
+        images.extend(tuple(ann[i : i + k]) for i in range(0, len(ann), k))
+    lift = UniformLift(la, lb, k, tuple(images), tuple(image_a + image_b))
     assert lift.images[0][0] == 0, "lift must be prolongable on state 0"
     return lift
 
@@ -99,8 +88,10 @@ def lift_fixed_prefix(lift: UniformLift, length: int) -> np.ndarray:
 def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:
     """Does the coded lifted fixed point reproduce f^omega(a) on `length` letters?"""
     codes = np.array([0 if c == "a" else 1 for c in lift.coding], dtype=np.uint8)
-    # the int32 states die here, before the letter prefix is built
-    coded = codes[lift_fixed_prefix(lift, length)]
+    # The lifted fixed point is its own image: code the images of its first
+    # ceil(length / k) states, 4/k bytes per letter, freed before the prefix.
+    coded_images = codes[np.array(lift.images)]
+    coded = coded_images[lift_fixed_prefix(lift, -(-length // lift.k))].reshape(-1)[:length]
     return bool(np.array_equal(coded, fixed_point_prefix(f, length).data))
 
 

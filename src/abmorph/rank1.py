@@ -8,9 +8,11 @@ words f^K(a) and f^K(b) split into n resp. m abelian-equivalent chunks of
 length (A+B) k^(K-1).
 
 The chunk test at level t is a function of the "cut configuration": where the
-chunk boundaries fall inside the level-1 block decomposition. Configurations
-evolve deterministically in t, so a repeated configuration refutes purity for
-all larger t and the scan may stop.
+chunk boundaries fall among the blocks f(c) of f^t(x). Such a position is a
+state (c, i) of the uniform lift (lift.build_lift), and cut i of f^t(a), at
+i(A+B) k^(t-1), is the state (a, i(A+B)) after t-1 zero digits; likewise for
+f^t(b). So configurations evolve deterministically in t, a repeated one
+refutes purity for all larger t, and the scan may stop.
 """
 
 from __future__ import annotations
@@ -21,18 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCoprimeError, OutOfRangeError
+from .lift import UniformLift, build_lift
 from .matrices import Rank1Form, matrix_of, rank1_decompose
-from .words import BinaryMorphism, ParikhVector, fixed_point_prefix
+from .words import BinaryMorphism, ParikhVector, fixed_point_prefix, parikh
 
 
 def block_length(f: BinaryMorphism, form: Rank1Form, u) -> int:
     """|f(u)| / (A+B): the number of length-(A+B) cells the image of u spans."""
-    from .words import Word, parikh
-
-    if isinstance(u, str):
-        u = Word.from_str(u)
     pv = parikh(u)
-    la, lb = len(f.image_a), len(f.image_b)
+    la, lb = f.lengths()
     total = la * pv.count_a + lb * pv.count_b
     assert total % form.block_unit == 0
     return total // form.block_unit
@@ -91,8 +90,8 @@ def prefix_parikh(f: BinaryMorphism, seed: str, t: int, ell: int) -> ParikhVecto
 
 @dataclass(frozen=True)
 class CutDescriptor:
-    """A position inside the level-1 block decomposition: which image block
-    the cut lands in and the offset within that block."""
+    """A lift state (c, i): the image block f(c) the cut lands in and the
+    offset i within that block."""
 
     block_letter: str
     offset: int
@@ -104,37 +103,46 @@ class CutConfiguration:
     b_cuts: tuple[CutDescriptor, ...]
 
 
-def _locate_block(f: BinaryMorphism, seed: str, t: int, pos: int, lengths) -> CutDescriptor:
-    """Descriptor of position `pos` in the decomposition of f^t(seed) into
-    blocks f(c), c ranging over the letters of f^(t-1)(seed)."""
-    cur, p = seed, pos
-    for s in range(t, 1, -1):
-        for d in f.image(cur):
-            sub_len = lengths[s - 1][0] if d == "a" else lengths[s - 1][1]
-            if p >= sub_len:
-                p -= sub_len
-            else:
-                cur = d
-                break
-    return CutDescriptor(cur, p)
+def _e_values(lift: UniformLift, form: Rank1Form) -> list[int]:
+    """e(c, i) = (A+B) |f(c)[:i]|_a - A i for every lift state (c, i).
+
+    If position p of f^t(x), t >= 1, is in state (c, i), the prefix before p
+    is whole blocks f(y), of a-density exactly A/(A+B), plus f(c)[:i]; so
+    (A+B) |prefix|_a - A p = e(c, i). Hence the chunk between cuts in states
+    s and s' has a-count (A unit + e(s') - e(s)) / (A+B), unit its length.
+    e is 0 at both ends of f^t(x), so the e-differences of the chunks of
+    f^t(a) sum to 0: they are all equal iff all are 0, and then every chunk,
+    of f^t(a) or f^t(b), has a-count A unit / (A+B). So the chunks are all
+    equivalent iff every cut state has e = 0."""
+    values = []
+    for lo, hi in ((0, lift.image_length_a), (lift.image_length_a, lift.size)):
+        e = 0
+        for letter in lift.coding[lo:hi]:
+            values.append(e)
+            e += form.B if letter == "a" else -form.A
+    return values
+
+
+def _first_cuts(lift: UniformLift, form: Rank1Form) -> tuple[int, ...]:
+    """Cut states at level 1: (a, i(A+B)) for i = 1..n-1, then (b, j(A+B))
+    for j = 1..m-1."""
+    unit, la = form.block_unit, lift.image_length_a
+    return tuple(range(unit, la, unit)) + tuple(range(la + unit, lift.size, unit))
 
 
 def configuration_of(f: BinaryMorphism, form: Rank1Form, t: int) -> CutConfiguration:
     """Where the n-1 cuts of f^t(a) and the m-1 cuts of f^t(b) fall.
 
     Cut i sits at position i * (A+B) k^(t-1); the descriptor records the
-    block letter and offset at that position."""
+    block letter and offset at that position, read off its lift state."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    lengths, _, _ = _tables(f, t)
-    unit = form.block_unit * form.trace ** (t - 1)
-    a_cuts = tuple(
-        _locate_block(f, "a", t, i * unit, lengths) for i in range(1, form.n)
-    )
-    b_cuts = tuple(
-        _locate_block(f, "b", t, j * unit, lengths) for j in range(1, form.m)
-    )
-    return CutConfiguration(a_cuts, b_cuts)
+    lift = build_lift(f, form)
+    states = _first_cuts(lift, form)
+    for _ in range(t - 1):
+        states = tuple(lift.images[s][0] for s in states)
+    cuts = [CutDescriptor(*lift.letter_pair(s)) for s in states]
+    return CutConfiguration(tuple(cuts[: form.n - 1]), tuple(cuts[form.n - 1 :]))
 
 
 def check_pure_at(f: BinaryMorphism, form: Rank1Form, k: int) -> bool:
@@ -145,18 +153,11 @@ def check_pure_at(f: BinaryMorphism, form: Rank1Form, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be >= 1")
     unit = form.block_unit * form.trace ** (k - 1)
-    ref = None
+    chunks = set()
     for seed, parts in (("a", form.n), ("b", form.m)):
-        prev = 0
-        for i in range(1, parts + 1):
-            ca = prefix_parikh(f, seed, k, i * unit).count_a
-            chunk = ca - prev
-            if ref is None:
-                ref = chunk
-            elif chunk != ref:
-                return False
-            prev = ca
-    return True
+        counts = [prefix_parikh(f, seed, k, i * unit).count_a for i in range(parts + 1)]
+        chunks.update(hi - lo for lo, hi in zip(counts, counts[1:]))
+    return len(chunks) == 1
 
 
 @dataclass(frozen=True)
@@ -187,22 +188,25 @@ class PureVerdict:
 def decide_pure(f: BinaryMorphism, max_configurations: int = 10**6) -> PureVerdict:
     """Decide whether f^omega(a) is purely abelian periodic.
 
-    Scans t = 1, 2, ...; a passing chunk test proves purity with period
-    (A+B) (nA+mB)^(t-1), and a repeated cut configuration refutes it (the
-    chunk test's outcome is a function of the configuration)."""
+    Walks the cut states of levels t = 1, 2, ...: all e = 0 (see _e_values)
+    proves purity with period (A+B) (nA+mB)^(t-1), and a repeated tuple of
+    cut states refutes it."""
     f.require_prolongable()
     form = rank1_decompose(matrix_of(f))
-    seen: set[CutConfiguration] = set()
+    lift = build_lift(f, form)
+    e = _e_values(lift, form)
+    states = _first_cuts(lift, form)
+    seen: set[tuple[int, ...]] = set()
     t = 0
     while len(seen) < max_configurations:
         t += 1
-        config = configuration_of(f, form, t)
-        if config in seen:
+        if states in seen:
             return PureVerdict("not_pure", None, None, t, True)
-        if check_pure_at(f, form, t):
+        if not any(e[s] for s in states):
             period = form.block_unit * form.trace ** (t - 1)
             return PureVerdict("pure", t, period, t, False)
-        seen.add(config)
+        seen.add(states)
+        states = tuple(lift.images[s][0] for s in states)
     return PureVerdict("resource_exhausted", None, None, t, False)
 
 

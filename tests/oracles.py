@@ -128,3 +128,42 @@ def last_round_lengths(images: list[list[int]], m: int) -> list[int]:
         lo, w = len(w), [c for s in w for c in images[s]]
     width = sum(len(images[c]) for c in w[lo:lo + m])
     return [len(w) + width - 1, len(w) + width]
+
+
+def naive_chunks(image_a: str, image_b: str, t: int):
+    """Level t >= 1 of the pure criterion, read off f^t(a) and f^t(b).
+
+    Returns the chunk length gcd(|f^t(a)|, |f^t(b)|), the a-counts of all
+    chunks of f^t(a) then f^t(b), and, per seed, the cuts between chunks as
+    (letter, offset) in the factorization of f^t(x) into blocks f(c), c over
+    the letters of f^(t-1)(x)."""
+    words = {x: naive_power(image_a, image_b, x, t) for x in "ab"}
+    unit = gcd(len(words["a"]), len(words["b"]))
+    counts, cuts = [], []
+    for x in "ab":
+        w = words[x]
+        pairs = []
+        for c in naive_power(image_a, image_b, x, t - 1):
+            pairs += [(c, i) for i in range(len(image_a if c == "a" else image_b))]
+        counts += [w[i:i + unit].count("a") for i in range(0, len(w), unit)]
+        cuts.append(tuple(pairs[i] for i in range(unit, len(w), unit)))
+    return unit, counts, tuple(cuts)
+
+
+def naive_pure(image_a: str, image_b: str, max_configurations: int) -> dict:
+    """The pure scan on materialized words, as PureVerdict.to_json():
+    levels t = 1, 2, ... until the cuts repeat (not pure), the chunks all
+    share an a-count (pure), or max_configurations levels passed."""
+    seen, t = set(), 0
+    while len(seen) < max_configurations:
+        t += 1
+        unit, counts, cuts = naive_chunks(image_a, image_b, t)
+        if cuts in seen:
+            return {"status": "not_pure", "k": None, "period": None,
+                    "iterations_used": t, "cycle_detected": True}
+        if len(set(counts)) == 1:
+            return {"status": "pure", "k": t, "period": str(unit),
+                    "iterations_used": t, "cycle_detected": False}
+        seen.add(cuts)
+    return {"status": "resource_exhausted", "k": None, "period": None,
+            "iterations_used": t, "cycle_detected": False}

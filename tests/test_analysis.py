@@ -104,6 +104,14 @@ class TestAbelianPeriodOracle:
         with pytest.raises(HorizonTooShortError):
             abelian_period_oracle("abab", 3, 3)
 
+    def test_preperiod_orders_before_period(self):
+        # Periods ascend: (1, 2) turns up before (0, 3), which still wins.
+        w = "aaaaaaab"
+        assert naive_is_abelian_period(w, 1, 2)
+        wit = abelian_period_oracle(w, 3, 2)
+        assert (wit.preperiod, wit.period) == (0, 3)
+        assert naive_abelian_period(w, 3, 2) == (0, 3)
+
 
 class TestComplexityProfile:
     def test_thue_morse_golden(self):

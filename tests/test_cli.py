@@ -5,8 +5,8 @@ from functools import lru_cache
 
 import pytest
 
-from abmorph import classify, parse_morphism, verdict_report
-from abmorph.cli import main
+from abmorph import ClassifyOptions, classify, parse_morphism, verdict_report
+from abmorph.cli import _build_parser, _options_from, main
 
 
 def run(capsys, *argv):
@@ -309,3 +309,15 @@ class TestResiduesCommand:
         payload = json.loads(out)
         assert payload["residues"] == [0, 1, 2, 3, 4]
         assert payload["complete"] is True
+
+
+class TestDefaults:
+    def test_bounds_default_to_classify_options(self):
+        parser = _build_parser()
+        defaults = ClassifyOptions()
+        args = parser.parse_args(["classify", "a->ab; b->ba"])
+        assert _options_from(args) == defaults
+        args = parser.parse_args(["pure", "a->ab; b->ba"])
+        assert args.max_configurations == defaults.max_configurations
+        args = parser.parse_args(["eventual", "a->ab; b->ba"])
+        assert args.kmax == defaults.eventual_k_max

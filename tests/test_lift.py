@@ -8,6 +8,7 @@ import pytest
 from abmorph import (
     DegenerateTraceError,
     Rank1Form,
+    UniformLift,
     build_lift,
     dfao_dot,
     dfao_eval,
@@ -187,3 +188,31 @@ class TestLiftKernel:
             tracemalloc.stop()
         assert states.size == n
         assert peak / n <= 6
+
+    def test_verify_memory_per_letter(self):
+        # The coded images of ceil(n / k) states: 4/k bytes per letter for
+        # the states, then the coded letters, the letter prefix and the
+        # comparison, 1 byte each. Coding n states held 5.3.
+        f, lift = lift_of("a->ab; b->bbaa")
+        n = 2 * 10**6
+        tracemalloc.start()
+        try:
+            ok = lift_verify(f, lift, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak / n <= 3.5
+
+    def test_verify_stops_at_the_first_wrong_letter(self):
+        # Flip the output of one state: the check passes exactly on the
+        # prefixes that end before that state first appears.
+        f, lift = lift_of("a->ab; b->bbaa")
+        for s in range(lift.size):
+            coding = list(lift.coding)
+            coding[s] = "b" if coding[s] == "a" else "a"
+            bad = UniformLift(lift.image_length_a, lift.image_length_b,
+                              lift.k, lift.images, tuple(coding))
+            first = lift_fixed_prefix(lift, 200).tolist().index(s)
+            assert lift_verify(f, bad, first)
+            assert not lift_verify(f, bad, first + 1)

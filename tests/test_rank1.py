@@ -13,6 +13,7 @@ from abmorph import (
     OutOfRangeError,
     block_length,
     block_position_residues,
+    build_lift,
     check_pure_at,
     configuration_of,
     decide_pure,
@@ -27,8 +28,9 @@ from abmorph import (
     rank1_decompose,
     validate_abelian_period,
 )
+from abmorph.rank1 import _e_values
 from conftest import random_morphism, random_rank1_morphism
-from oracles import naive_parikh, naive_power
+from oracles import naive_chunks, naive_parikh, naive_power, naive_pure
 
 
 def form_of(f):
@@ -315,3 +317,84 @@ class TestBlockPositionResidues:
         form = form_of(f)
         with pytest.raises(NotCoprimeError):
             block_position_residues(f, form, 1, 6, 100)
+
+
+class TestPureAgainstMaterializedWords:
+    """decide_pure and configuration_of against chunks and cuts read off
+    the materialized f^t(a) and f^t(b)."""
+
+    def test_matches_naive_pure(self, rng):
+        statuses, seen = set(), set()
+        while len(seen) < 300:
+            f = random_rank1_morphism(rng, max_unit=2, max_mult=3)
+            if f.to_text() in seen:
+                continue
+            seen.add(f.to_text())
+            form = form_of(f)
+            image_a, image_b = str(f.image_a), str(f.image_b)
+            # as many levels as keep f^t(x) below 4000 letters, at most 6
+            longest, cap = max(f.lengths()), 1
+            while cap < 6 and longest * form.trace ** cap <= 4000:
+                cap += 1
+            want = naive_pure(image_a, image_b, cap)
+            assert decide_pure(f, max_configurations=cap).to_json() == want
+            statuses.add(want["status"])
+            for t in range(1, want["iterations_used"] + 1):
+                cfg = configuration_of(f, form, t)
+                got = tuple(
+                    tuple((c.block_letter, c.offset) for c in cuts)
+                    for cuts in (cfg.a_cuts, cfg.b_cuts)
+                )
+                assert got == naive_chunks(image_a, image_b, t)[2], (f, t)
+        assert statuses == {"pure", "not_pure", "resource_exhausted"}
+
+    def test_pure_level_is_the_first_balanced_one(self, rng):
+        pure = refuted = 0
+        for _ in range(150):
+            f = random_rank1_morphism(rng)
+            form = form_of(f)
+            v = decide_pure(f, max_configurations=100)
+            if v.status == "pure":
+                pure += 1
+                assert check_pure_at(f, form, v.k)
+                assert not any(check_pure_at(f, form, t) for t in range(1, v.k))
+            elif v.status == "not_pure":
+                # the repeated level is as unbalanced as its first visit
+                refuted += 1
+                assert not any(
+                    check_pure_at(f, form, t)
+                    for t in range(1, v.iterations_used + 1))
+        assert pure >= 20 and refuted >= 20
+
+
+def lift_state_at(lift, seed, t, ell):
+    """State of position ell of f^t(seed), t >= 1: ell = q k^(t-1) + r, and
+    the state is reached from (seed, q) by the t-1 base-k digits of r."""
+    digits = []
+    for _ in range(t - 1):
+        ell, d = divmod(ell, lift.k)
+        digits.append(d)
+    state = ell if seed == "a" else lift.image_length_a + ell
+    for d in reversed(digits):
+        state = lift.images[state][d]
+    return state
+
+
+class TestEValues:
+    def test_identity_against_prefix_parikh(self, rng):
+        # Before a position in state s: (A+B) |prefix|_a - A ell = e(s).
+        for _ in range(400):
+            f = random_rank1_morphism(rng)
+            form = form_of(f)
+            lift = build_lift(f, form)
+            e = _e_values(lift, form)
+            seed, t = rng.choice("ab"), rng.randint(1, 12)
+            length = len(f.image(seed)) * form.trace ** (t - 1)
+            for ell in [rng.randrange(length) for _ in range(5)]:
+                state = lift_state_at(lift, seed, t, ell)
+                count_a = prefix_parikh(f, seed, t, ell).count_a
+                assert form.block_unit * count_a - form.A * ell == e[state]
+            # e is 0 at both ends of f^t(seed)
+            assert e[lift_state_at(lift, seed, t, 0)] == 0
+            whole = prefix_parikh(f, seed, t, length)
+            assert form.block_unit * whole.count_a == form.A * length
