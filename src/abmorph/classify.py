@@ -55,19 +55,30 @@ ANSWERS = (
     ANSWER_UNKNOWN,
 )
 CERTAINTIES = (CERTAINTY_PROVED, CERTAINTY_BOUNDED_SEARCH)
-REASONS = (
-    REASON_SPECIAL_FORM,
-    REASON_CHUNKS_EQUIVALENT,
-    REASON_EVENTUAL_WITNESS,
-    REASON_GT_ONE_UNBALANCED,
-    REASON_IRRATIONAL_FREQUENCIES,
-    REASON_ONE_FORM_FAILS,
-    REASON_MINUS_ONE,
-    REASON_NONPRIMITIVE_PERIODIC,
-    REASON_NONPRIMITIVE_NO_PERIOD,
-    REASON_PURE_REFUTED_OPEN,
-    REASON_RESOURCE_EXHAUSTED,
-)
+# The whole outcome policy, one row per reason: the answer and certainty the
+# reason implies, and whether the verdict carries imbalance evidence. The
+# router in classify picks only the reason and its witnesses.
+OUTCOMES = {
+    REASON_SPECIAL_FORM: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
+    REASON_CHUNKS_EQUIVALENT: (ANSWER_PURE_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
+    REASON_EVENTUAL_WITNESS: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
+    REASON_GT_ONE_UNBALANCED: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED, True),
+    REASON_IRRATIONAL_FREQUENCIES: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
+    REASON_ONE_FORM_FAILS: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED, True),
+    REASON_MINUS_ONE: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
+    REASON_NONPRIMITIVE_PERIODIC: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
+    REASON_NONPRIMITIVE_NO_PERIOD: (
+        ANSWER_NOT_ABELIAN_PERIODIC,
+        CERTAINTY_BOUNDED_SEARCH,
+        True,
+    ),
+    REASON_PURE_REFUTED_OPEN: (ANSWER_UNKNOWN, CERTAINTY_BOUNDED_SEARCH, False),
+    REASON_RESOURCE_EXHAUSTED: (ANSWER_UNKNOWN, CERTAINTY_BOUNDED_SEARCH, False),
+}
+REASONS = tuple(OUTCOMES)
+
+# imbalance a window scan tries to reach before it stops early
+EVIDENCE_TARGET = 4
 
 
 def special_form_exponents(f: BinaryMorphism) -> tuple[int, int] | None:
@@ -92,7 +103,7 @@ class ClassifyOptions:
     eventual_k_max limits the eventual-witness level scan; the offset budget
     caps the total cut offsets tried across levels (the per-level offset
     count is the period and grows geometrically). horizon is the prefix
-    length used for imbalance evidence."""
+    length used for imbalance evidence, which collect_evidence turns off."""
 
     eventual_k_max: int = 8
     eventual_offset_budget: int = 10**6
@@ -100,7 +111,6 @@ class ClassifyOptions:
     max_period: int | None = None
     max_preperiod: int | None = None
     max_configurations: int = 10**6
-    evidence_target: int = 4
     collect_evidence: bool = True
 
 
@@ -128,8 +138,11 @@ class ImbalanceEvidence:
 
 @dataclass(frozen=True)
 class Verdict:
-    answer: str
-    certainty: str
+    """A reason with the witnesses and bounds behind it.
+
+    The answer and certainty are the reason's row in OUTCOMES; the claimed
+    abelian period is read off the witness of a periodic answer."""
+
     reason: str
     spectral: SpectralProfile
     rank1: Rank1Form | None = None
@@ -138,10 +151,38 @@ class Verdict:
     periodicity: PeriodicityVerdict | None = None
     special_form: tuple[int, int] | None = None
     frequencies: FrequencyReport | None = None
-    claimed_preperiod: int | None = None
-    claimed_period: int | None = None
     evidence: ImbalanceEvidence | None = None
     bounds: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def answer(self) -> str:
+        return OUTCOMES[self.reason][0]
+
+    @property
+    def certainty(self) -> str:
+        return OUTCOMES[self.reason][1]
+
+    def _claim(self) -> tuple[int, int] | None:
+        """(preperiod, period) of the periodic witness, if there is one."""
+        if self.special_form is not None:
+            return (0, 2)
+        if self.eventual is not None:
+            return (self.eventual.cut_offset, self.eventual.period)
+        if self.pure is not None and self.pure.period is not None:
+            return (0, self.pure.period)
+        if self.periodicity is not None and self.periodicity.found:
+            return (len(self.periodicity.preperiod), len(self.periodicity.period))
+        return None
+
+    @property
+    def claimed_preperiod(self) -> int | None:
+        claim = self._claim()
+        return None if claim is None else claim[0]
+
+    @property
+    def claimed_period(self) -> int | None:
+        claim = self._claim()
+        return None if claim is None else claim[1]
 
     @property
     def is_abelian_periodic(self) -> bool | None:
@@ -173,18 +214,6 @@ def imbalance_evidence(
     return ImbalanceEvidence(best_len, best_im, n, target, False)
 
 
-def _finish(verdict: Verdict, f: BinaryMorphism, options: ClassifyOptions) -> Verdict:
-    needs_evidence = options.collect_evidence and verdict.reason in (
-        REASON_GT_ONE_UNBALANCED,
-        REASON_ONE_FORM_FAILS,
-        REASON_NONPRIMITIVE_NO_PERIOD,
-    )
-    if not needs_evidence:
-        return verdict
-    evidence = imbalance_evidence(f, options.horizon, options.evidence_target)
-    return replace(verdict, evidence=evidence)
-
-
 def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdict:
     """Decide abelian periodicity of f^omega(a), as far as proofs or the
     configured bounds allow.
@@ -193,8 +222,18 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     Primitive morphisms with nonzero second eigenvalue are either the
     alternating special family (abelian periodic) or refuted by their
     spectral class. The remaining rank-1 case runs the pure decision and
-    then a bounded scan for an eventual witness."""
+    then a bounded scan for an eventual witness. A verdict whose reason's
+    row asks for it then gets imbalance evidence."""
     opts = options or ClassifyOptions()
+    verdict = _route(f, opts)
+    if opts.collect_evidence and OUTCOMES[verdict.reason][2]:
+        evidence = imbalance_evidence(f, opts.horizon, EVIDENCE_TARGET)
+        verdict = replace(verdict, evidence=evidence)
+    return verdict
+
+
+def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:
+    """The reason for f and the witnesses and bounds behind it."""
     f.require_prolongable()
     mat = matrix_of(f)
     prof = spectral_profile(mat)
@@ -206,26 +245,15 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
             ("max_period", pv.max_period),
         )
         if pv.found:
-            verdict = Verdict(
-                ANSWER_ABELIAN_PERIODIC,
-                CERTAINTY_PROVED,
-                REASON_NONPRIMITIVE_PERIODIC,
-                prof,
-                periodicity=pv,
-                claimed_preperiod=len(pv.preperiod),
-                claimed_period=len(pv.period),
-                bounds=bounds,
+            return Verdict(
+                REASON_NONPRIMITIVE_PERIODIC, prof, periodicity=pv, bounds=bounds
             )
-        else:
-            verdict = Verdict(
-                ANSWER_NOT_ABELIAN_PERIODIC,
-                CERTAINTY_BOUNDED_SEARCH,
-                REASON_NONPRIMITIVE_NO_PERIOD,
-                prof,
-                periodicity=pv,
-                bounds=bounds + (("horizon", opts.horizon),),
-            )
-        return _finish(verdict, f, opts)
+        return Verdict(
+            REASON_NONPRIMITIVE_NO_PERIOD,
+            prof,
+            periodicity=pv,
+            bounds=bounds + (("horizon", opts.horizon),),
+        )
 
     freq = letter_frequencies(f)
 
@@ -233,14 +261,7 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
         form_km = special_form_exponents(f)
         if form_km is not None:
             return Verdict(
-                ANSWER_ABELIAN_PERIODIC,
-                CERTAINTY_PROVED,
-                REASON_SPECIAL_FORM,
-                prof,
-                special_form=form_km,
-                frequencies=freq,
-                claimed_preperiod=0,
-                claimed_period=2,
+                REASON_SPECIAL_FORM, prof, special_form=form_km, frequencies=freq
             )
         if prof.theta2_abs_class == ABS_GT_ONE:
             reason = REASON_GT_ONE_UNBALANCED
@@ -251,33 +272,16 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
             reason = (
                 REASON_ONE_FORM_FAILS if prof.theta2_value == 1 else REASON_MINUS_ONE
             )
-        verdict = Verdict(
-            ANSWER_NOT_ABELIAN_PERIODIC,
-            CERTAINTY_PROVED,
-            reason,
-            prof,
-            frequencies=freq,
-        )
-        return _finish(verdict, f, opts)
+        return Verdict(reason, prof, frequencies=freq)
 
     form = rank1_decompose(mat)
     pure = decide_pure(f, max_configurations=opts.max_configurations)
     if pure.status == "pure":
         return Verdict(
-            ANSWER_PURE_ABELIAN_PERIODIC,
-            CERTAINTY_PROVED,
-            REASON_CHUNKS_EQUIVALENT,
-            prof,
-            rank1=form,
-            pure=pure,
-            frequencies=freq,
-            claimed_preperiod=0,
-            claimed_period=pure.period,
+            REASON_CHUNKS_EQUIVALENT, prof, rank1=form, pure=pure, frequencies=freq
         )
     if pure.status == "resource_exhausted":
         return Verdict(
-            ANSWER_UNKNOWN,
-            CERTAINTY_BOUNDED_SEARCH,
             REASON_RESOURCE_EXHAUSTED,
             prof,
             rank1=form,
@@ -291,20 +295,14 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     )
     if witness is not None:
         return Verdict(
-            ANSWER_ABELIAN_PERIODIC,
-            CERTAINTY_PROVED,
             REASON_EVENTUAL_WITNESS,
             prof,
             rank1=form,
             pure=pure,
             eventual=witness,
             frequencies=freq,
-            claimed_preperiod=witness.cut_offset,
-            claimed_period=witness.period,
         )
     return Verdict(
-        ANSWER_UNKNOWN,
-        CERTAINTY_BOUNDED_SEARCH,
         REASON_PURE_REFUTED_OPEN,
         prof,
         rank1=form,
@@ -332,12 +330,10 @@ def verdict_report(f: BinaryMorphism, verdict: Verdict) -> dict:
     from . import __version__
 
     special = verdict.special_form
+    claim = verdict._claim()
     claimed = None
-    if verdict.claimed_period is not None:
-        claimed = {
-            "preperiod": str(verdict.claimed_preperiod),
-            "period": str(verdict.claimed_period),
-        }
+    if claim is not None:
+        claimed = {"preperiod": str(claim[0]), "period": str(claim[1])}
     return {
         "meta": {"tool": "abmorph", "version": __version__},
         "morphism": {

@@ -213,15 +213,13 @@ def _cmd_dfao(args) -> tuple[str, int]:
 
 def _cmd_oracle(args) -> tuple[str, int]:
     f = _load_morphism(args.morphism)
-    max_p = 200 if args.max_period is None else args.max_period
-    max_r = 200 if args.max_preperiod is None else args.max_preperiod
     prefix = fixed_point_prefix(f, args.horizon)
-    witness = abelian_period_oracle(prefix, max_p, max_r)
+    witness = abelian_period_oracle(prefix, args.max_period, args.max_preperiod)
     payload = {
         "morphism": f.to_text(),
         "horizon": len(prefix),
-        "max_period": max_p,
-        "max_preperiod": max_r,
+        "max_period": args.max_period,
+        "max_preperiod": args.max_preperiod,
         "witness": None
         if witness is None
         else {"preperiod": witness.preperiod, "period": witness.period},
@@ -275,21 +273,6 @@ def _cmd_residues(args) -> tuple[str, int]:
     return text, 0
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "pure": _cmd_pure,
-    "eventual": _cmd_eventual,
-    "prefix": _cmd_prefix,
-    "complexity": _cmd_complexity,
-    "path": _cmd_path,
-    "lift": _cmd_lift,
-    "dfao": _cmd_dfao,
-    "oracle": _cmd_oracle,
-    "periodic": _cmd_periodic,
-    "residues": _cmd_residues,
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="abmorph",
@@ -298,8 +281,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
     defaults = ClassifyOptions()
 
-    def add(verb, help_text, default_format, formats, needs_morphism=True):
+    def add(verb, handler, help_text, default_format, formats, needs_morphism=True):
         p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(handler=handler)
         if needs_morphism:
             p.add_argument(
                 "morphism",
@@ -310,7 +294,7 @@ def _build_parser() -> _Parser:
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
         return p
 
-    p = add("classify", "full classification with verdict report", "json", ("json", "text"))
+    p = add("classify", _cmd_classify, "full classification with verdict report", "json", ("json", "text"))
     p.add_argument("--corpus", default=None, help="file with one morphism per line")
     p.add_argument("--kmax", type=int, default=defaults.eventual_k_max, help="eventual witness scan depth")
     p.add_argument("--horizon", type=int, default=defaults.horizon, help="evidence prefix length")
@@ -318,36 +302,36 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-preperiod", type=int, default=None)
     p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)
 
-    p = add("pure", "decide pure abelian periodicity (rank-1 only)", "json", ("json", "text"))
+    p = add("pure", _cmd_pure, "decide pure abelian periodicity (rank-1 only)", "json", ("json", "text"))
     p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)
 
-    p = add("eventual", "scan for an eventual abelian-period witness", "json", ("json", "text"))
+    p = add("eventual", _cmd_eventual, "scan for an eventual abelian-period witness", "json", ("json", "text"))
     p.add_argument("--kmax", type=int, default=defaults.eventual_k_max)
 
-    p = add("prefix", "emit a prefix of the fixed point", "text", ("text", "json"))
+    p = add("prefix", _cmd_prefix, "emit a prefix of the fixed point", "text", ("text", "json"))
     p.add_argument("--length", type=int, required=True)
 
-    p = add("complexity", "abelian complexity and imbalance table", "csv", ("csv", "json"))
+    p = add("complexity", _cmd_complexity, "abelian complexity and imbalance table", "csv", ("csv", "json"))
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--horizon", type=int, default=10**5)
 
-    p = add("path", "lattice path heights of a prefix", "csv", ("csv", "json"))
+    p = add("path", _cmd_path, "lattice path heights of a prefix", "csv", ("csv", "json"))
     p.add_argument("--length", type=int, required=True)
 
-    add("lift", "uniform lift of a rank-1 morphism", "json", ("json", "text"))
+    add("lift", _cmd_lift, "uniform lift of a rank-1 morphism", "json", ("json", "text"))
 
-    add("dfao", "automaton for the lifted fixed point", "dot", ("dot", "json"))
+    add("dfao", _cmd_dfao, "automaton for the lifted fixed point", "dot", ("dot", "json"))
 
-    p = add("oracle", "sliding abelian-period scan on a prefix", "json", ("json", "text"))
+    p = add("oracle", _cmd_oracle, "sliding abelian-period scan on a prefix", "json", ("json", "text"))
     p.add_argument("--horizon", type=int, default=10**5)
+    p.add_argument("--max-period", type=int, default=200)
+    p.add_argument("--max-preperiod", type=int, default=200)
+
+    p = add("periodic", _cmd_periodic, "certified eventual-periodicity search", "json", ("json", "text"))
     p.add_argument("--max-period", type=int, default=None)
     p.add_argument("--max-preperiod", type=int, default=None)
 
-    p = add("periodic", "certified eventual-periodicity search", "json", ("json", "text"))
-    p.add_argument("--max-period", type=int, default=None)
-    p.add_argument("--max-preperiod", type=int, default=None)
-
-    p = add("residues", "t-block-position residues of the first image block", "json", ("json", "text"))
+    p = add("residues", _cmd_residues, "t-block-position residues of the first image block", "json", ("json", "text"))
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--horizon", type=int, default=3**12)
@@ -361,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.verb == "classify" and args.corpus is None and args.morphism is None:
             raise _UsageError("classify needs a morphism or --corpus")
-        text, code = _HANDLERS[args.verb](args)
+        text, code = args.handler(args)
         _emit(text, args.output)
         return code
     except (_UsageError, AbmorphError, OSError, ValueError) as exc:

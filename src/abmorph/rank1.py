@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCoprimeError, OutOfRangeError
-from .lift import UniformLift, build_lift
+from .lift import UniformLift, build_lift, lift_fixed_prefix
 from .matrices import Rank1Form, matrix_of, rank1_decompose
-from .words import BinaryMorphism, ParikhVector, fixed_point_prefix, parikh
+from .words import BinaryMorphism, ParikhVector, parikh
 
 
 def block_length(f: BinaryMorphism, form: Rank1Form, u) -> int:
@@ -326,16 +326,15 @@ def block_position_residues(
         raise ValueError("d must be >= 1")
     if math.gcd(d, form.trace) != 1:
         raise NotCoprimeError(f"d = {d} shares a factor with the trace {form.trace}")
-    f.require_prolongable()
-    prefix = fixed_point_prefix(f, horizon).data
-    la, lb = len(f.image_a), len(f.image_b)
-    lens = np.where(prefix == 0, la, lb).astype(np.int64)
-    pos = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(lens)[:-1]])
-    mask = (prefix == 0) & (pos + la <= horizon)
-    unit = form.block_unit * form.trace ** (t - 1)
-    if unit > horizon:
-        # only position 0 can be unit-aligned, and s_0 = a always is
-        return {0} if (mask.size and mask[0]) else set()
-    sel = pos[mask]
-    aligned = sel[sel % unit == 0] // unit
+    lift = build_lift(f, form)
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    # state (a, 0), id 0, marks the first letter of each f(a) block; a block
+    # lies in the horizon when it starts at most horizon - |f(a)|
+    states = lift_fixed_prefix(lift, max(0, horizon - lift.image_length_a + 1))
+    starts = np.flatnonzero(states == 0)
+    # every start is below horizon + 1, so a longer unit aligns only start 0,
+    # as horizon + 1 does; the cap keeps the arithmetic in int64
+    unit = min(form.block_unit * form.trace ** (t - 1), horizon + 1)
+    aligned = starts[starts % unit == 0] // unit
     return {int(r) for r in np.unique(aligned % d)}

@@ -165,6 +165,50 @@ class TestBranchDetails:
                 assert v.bounds
 
 
+class TestOutcomeRows:
+    """One case per reason: what the reason means for the answer, the
+    certainty, the evidence and the claimed abelian period."""
+
+    @pytest.mark.parametrize("text,opts,reason,answer,certainty,evidence", [
+        ("a->aba; b->bab", None, "SpecialFormABAB",
+         "AbelianPeriodic", "Proved", False),
+        ("a->ab; b->ba", None, "ChunksEquivalent",
+         "PureAbelianPeriodic", "Proved", False),
+        ("a->ab; b->aabb", None, "EventualWitnessFound",
+         "AbelianPeriodic", "Proved", False),
+        ("a->aaab; b->abbb", None, "Theta2AbsGtOne_Unbalanced",
+         "NotAbelianPeriodic", "Proved", True),
+        ("a->ab; b->a", None, "IrrationalFrequencies",
+         "NotAbelianPeriodic", "Proved", False),
+        ("a->aab; b->bbaab", None, "Theta2One_FormFails",
+         "NotAbelianPeriodic", "Proved", True),
+        ("a->ab; b->aa", None, "Theta2MinusOne",
+         "NotAbelianPeriodic", "Proved", False),
+        ("a->ab; b->b", None, "NonPrimitive_PeriodicCertificate",
+         "AbelianPeriodic", "Proved", False),
+        ("a->aab; b->b", None, "NonPrimitive_NoPeriodFound",
+         "NotAbelianPeriodic", "BoundedSearch", True),
+        ("a->ab; b->bbaa", ClassifyOptions(eventual_k_max=3),
+         "Rank1_PureRefuted_EventualOpen", "Unknown", "BoundedSearch", False),
+        ("a->ab; b->bbaa", ClassifyOptions(max_configurations=1),
+         "ResourceExhausted", "Unknown", "BoundedSearch", False),
+    ])
+    def test_reason_row(self, text, opts, reason, answer, certainty, evidence):
+        f = parse_morphism(text)
+        v = classify(f, opts)
+        assert (v.reason, v.answer, v.certainty) == (reason, answer, certainty)
+        assert (v.evidence is not None) == evidence
+        periodic = answer in ("AbelianPeriodic", "PureAbelianPeriodic")
+        assert (v.claimed_period is not None) == periodic
+        assert (v.claimed_preperiod is not None) == periodic
+        if periodic:
+            prefix = fixed_point_prefix(f, 10**4)
+            assert validate_abelian_period(
+                prefix, v.claimed_preperiod, v.claimed_period
+            )
+        jsonschema.validate(verdict_report(f, v), VERDICT_REPORT_SCHEMA)
+
+
 class TestOptions:
     def test_resource_exhaustion(self):
         opts = ClassifyOptions(max_configurations=1)

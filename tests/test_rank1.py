@@ -318,6 +318,17 @@ class TestBlockPositionResidues:
         with pytest.raises(NotCoprimeError):
             block_position_residues(f, form, 1, 6, 100)
 
+    def test_short_horizons(self):
+        # a block counts only when it ends inside the horizon, and a unit
+        # past every int64 still aligns the first block
+        f = parse_morphism("a->ab; b->bbaa")
+        form = form_of(f)
+        assert block_position_residues(f, form, 1, 5, 1) == set()
+        assert block_position_residues(f, form, 1, 5, 2) == {0}
+        assert block_position_residues(f, form, 60, 5, 1000) == {0}
+        with pytest.raises(ValueError):
+            block_position_residues(f, form, 1, 5, -1)
+
 
 class TestPureAgainstMaterializedWords:
     """decide_pure and configuration_of against chunks and cuts read off
