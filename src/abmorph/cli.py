@@ -1,8 +1,12 @@
 """Command-line front end.
 
-One verb per library operation family. Exit codes: 0 for definite answers
-and successful emissions, 2 when the outcome is a bounded search that found
-nothing definite (Unknown verdicts, empty scans), 1 for input errors.
+One verb per library operation family, in one pipeline: main parses the
+arguments and loads the morphism, the verb's handler makes its library call
+and returns (payload, text, exit code), and main writes the payload as JSON
+for --format json and the verb's own rendering otherwise. text is a callable,
+so a rendering that is not printed is never built. Exit codes: 0 for definite
+answers and successful emissions, 2 when the outcome is a bounded search that
+found nothing definite (Unknown verdicts, empty scans), 1 for input errors.
 Output is byte-stable for fixed inputs and versions: reports carry no
 timestamps and JSON keys are sorted.
 """
@@ -13,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable
 
 from .analysis import (
     abelian_period_oracle,
@@ -28,7 +33,7 @@ from .classify import (
 )
 from .errors import AbmorphError
 from .lift import build_lift, dfao_dot, dfao_table, is_bijective
-from .matrices import matrix_of, rank1_decompose
+from .matrices import Rank1Form, matrix_of, rank1_decompose
 from .periodic import decide_periodic
 from .rank1 import block_position_residues, decide_pure, eventual_scan
 from .words import BinaryMorphism, fixed_point_prefix, parse_morphism
@@ -45,8 +50,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# What a verb's handler returns: the JSON payload, a callable rendering the
+# verb's own text format, and the exit code.
+_Result = tuple[object, Callable[[], str], int]
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # numpy arrays (the path heights) are written as lists
+    return json.dumps(obj, indent=2, sort_keys=True, default=lambda a: a.tolist()) + "\n"
 
 
 def _load_morphism(source: str) -> BinaryMorphism:
@@ -74,6 +85,12 @@ def _options_from(args) -> ClassifyOptions:
     )
 
 
+def _rank1_form(f: BinaryMorphism) -> Rank1Form:
+    """The rank-1 form of f; a non-prolongable f fails before a non-rank-1 one."""
+    f.require_prolongable()
+    return rank1_decompose(matrix_of(f))
+
+
 def _classify_text(report: dict) -> str:
     lines = [
         f"morphism: {report['morphism']['text']}",
@@ -91,171 +108,110 @@ def _classify_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_classify(args) -> tuple[str, int]:
+def _unknown_code(reports: list[dict]) -> int:
+    return 2 if any(r["answer"] == ANSWER_UNKNOWN for r in reports) else 0
+
+
+def _cmd_classify(f, args) -> _Result:
     opts = _options_from(args)
-    if args.corpus is not None:
-        with open(args.corpus, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh]
-        sources = [ln for ln in lines if ln and not ln.startswith("#")]
-        reports = []
-        for src in sources:
-            f = parse_morphism(src)
-            reports.append(verdict_report(f, classify(f, opts)))
-        any_unknown = any(r["answer"] == ANSWER_UNKNOWN for r in reports)
-        if args.format == "json":
-            text = _dumps(reports)
-        else:
-            text = "".join(_classify_text(r) + "\n" for r in reports)
-        return text, (2 if any_unknown else 0)
-    f = _load_morphism(args.morphism)
-    report = verdict_report(f, classify(f, opts))
-    text = _dumps(report) if args.format == "json" else _classify_text(report)
-    return text, (2 if report["answer"] == ANSWER_UNKNOWN else 0)
+    if f is not None:
+        report = verdict_report(f, classify(f, opts))
+        return report, lambda: _classify_text(report), _unknown_code([report])
+    with open(args.corpus, "r", encoding="ascii") as fh:
+        lines = [ln.strip() for ln in fh]
+    sources = [ln for ln in lines if ln and not ln.startswith("#")]
+    reports = [verdict_report(g, classify(g, opts)) for g in map(parse_morphism, sources)]
+    return reports, lambda: "".join(_classify_text(r) + "\n" for r in reports), _unknown_code(reports)
 
 
-def _cmd_pure(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
+def _cmd_pure(f, args) -> _Result:
     verdict = decide_pure(f, max_configurations=args.max_configurations)
     payload = {"morphism": f.to_text(), **verdict.to_json()}
-    if args.format == "json":
-        text = _dumps(payload)
-    else:
-        text = "".join(f"{k}: {v}\n" for k, v in payload.items())
-    return text, (2 if verdict.status == "resource_exhausted" else 0)
+    code = 2 if verdict.status == "resource_exhausted" else 0
+    return payload, lambda: "".join(f"{k}: {v}\n" for k, v in payload.items()), code
 
 
-def _cmd_eventual(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
-    f.require_prolongable()
-    form = rank1_decompose(matrix_of(f))
+def _cmd_eventual(f, args) -> _Result:
     budget = ClassifyOptions().eventual_offset_budget
-    witness, k_scanned = eventual_scan(f, form, args.kmax, budget)
+    w, k_scanned = eventual_scan(f, _rank1_form(f), args.kmax, budget)
     payload = {
         "morphism": f.to_text(),
         "k_max": args.kmax,
         "k_scanned": k_scanned,
-        "witness": None if witness is None else witness.to_json(),
+        "witness": None if w is None else w.to_json(),
     }
-    if args.format == "json":
-        text = _dumps(payload)
-    elif witness is None:
-        text = f"no eventual witness for k <= {k_scanned}\n"
-    else:
-        text = (
-            f"witness: k {witness.k}, cut offset {witness.cut_offset},"
-            f" period {witness.period}\n"
-        )
-    return text, (0 if witness is not None else 2)
+    if w is None:
+        return payload, lambda: f"no eventual witness for k <= {k_scanned}\n", 2
+    return payload, lambda: f"witness: k {w.k}, cut offset {w.cut_offset}, period {w.period}\n", 0
 
 
-def _cmd_prefix(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
-    prefix = fixed_point_prefix(f, args.length)
-    if args.format == "json":
-        return _dumps({"morphism": f.to_text(), "length": len(prefix), "prefix": str(prefix)}), 0
-    return str(prefix) + "\n", 0
+def _cmd_prefix(f, args) -> _Result:
+    prefix = str(fixed_point_prefix(f, args.length))
+    payload = {"morphism": f.to_text(), "length": len(prefix), "prefix": prefix}
+    return payload, lambda: prefix + "\n", 0
 
 
-def _cmd_complexity(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
-    prefix = fixed_point_prefix(f, args.horizon)
-    profile = complexity_profile(prefix, args.nmax)
-    if args.format == "json":
-        payload = {
-            "morphism": f.to_text(),
-            "horizon": profile.horizon,
-            "rows": [
-                {"length": n, "complexity": c, "imbalance": i}
-                for n, c, i in profile.rows()
-            ],
-        }
-        return _dumps(payload), 0
-    return profile.to_csv(), 0
+def _cmd_complexity(f, args) -> _Result:
+    profile = complexity_profile(fixed_point_prefix(f, args.horizon), args.nmax)
+    rows = [{"length": n, "complexity": c, "imbalance": i} for n, c, i in profile.rows()]
+    payload = {"morphism": f.to_text(), "horizon": profile.horizon, "rows": rows}
+    return payload, profile.to_csv, 0
 
 
-def _cmd_path(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
+def _cmd_path(f, args) -> _Result:
     heights = lattice_path_heights(fixed_point_prefix(f, args.length))
-    if args.format == "json":
-        payload = {
-            "morphism": f.to_text(),
-            "length": args.length,
-            "heights": [int(h) for h in heights],
-        }
-        return _dumps(payload), 0
-    return heights_to_csv(heights), 0
+    payload = {"morphism": f.to_text(), "length": args.length, "heights": heights}
+    return payload, lambda: heights_to_csv(heights), 0
 
 
-def _cmd_lift(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
-    f.require_prolongable()
-    lift = build_lift(f, rank1_decompose(matrix_of(f)))
-    if args.format == "json":
-        return _dumps({"morphism": f.to_text(), "lift": dfao_table(lift)}), 0
-    lines = [f"uniform lift, block length {lift.k}, {lift.size} states"]
-    for s in range(lift.size):
-        image = " ".join(str(t + 1) for t in lift.images[s])
-        lines.append(
-            f"state {s + 1} ({lift.state_label(s)}) -> [{image}] / {lift.coding[s]}"
-        )
-    lines.append(f"bijective: {'yes' if is_bijective(lift) else 'no'}")
-    return "\n".join(lines) + "\n", 0
+def _cmd_lift(f, args) -> _Result:
+    lift = build_lift(f, _rank1_form(f))
+
+    def text():
+        lines = [f"uniform lift, block length {lift.k}, {lift.size} states"]
+        for s in range(lift.size):
+            image = " ".join(str(t + 1) for t in lift.images[s])
+            lines.append(
+                f"state {s + 1} ({lift.state_label(s)}) -> [{image}] / {lift.coding[s]}"
+            )
+        lines.append(f"bijective: {'yes' if is_bijective(lift) else 'no'}")
+        return "\n".join(lines) + "\n"
+
+    return {"morphism": f.to_text(), "lift": dfao_table(lift)}, text, 0
 
 
-def _cmd_dfao(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
-    f.require_prolongable()
-    lift = build_lift(f, rank1_decompose(matrix_of(f)))
-    if args.format == "json":
-        return _dumps(dfao_table(lift)), 0
-    return dfao_dot(lift), 0
+def _cmd_dfao(f, args) -> _Result:
+    lift = build_lift(f, _rank1_form(f))
+    return dfao_table(lift), lambda: dfao_dot(lift), 0
 
 
-def _cmd_oracle(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
+def _cmd_oracle(f, args) -> _Result:
     prefix = fixed_point_prefix(f, args.horizon)
-    witness = abelian_period_oracle(prefix, args.max_period, args.max_preperiod)
+    w = abelian_period_oracle(prefix, args.max_period, args.max_preperiod)
     payload = {
         "morphism": f.to_text(),
         "horizon": len(prefix),
         "max_period": args.max_period,
         "max_preperiod": args.max_preperiod,
-        "witness": None
-        if witness is None
-        else {"preperiod": witness.preperiod, "period": witness.period},
+        "witness": None if w is None else {"preperiod": w.preperiod, "period": w.period},
     }
-    if args.format == "json":
-        text = _dumps(payload)
-    elif witness is None:
-        text = "no abelian period within bounds\n"
-    else:
-        text = f"abelian period: preperiod {witness.preperiod}, period {witness.period}\n"
-    return text, (0 if witness is not None else 2)
+    if w is None:
+        return payload, lambda: "no abelian period within bounds\n", 2
+    return payload, lambda: f"abelian period: preperiod {w.preperiod}, period {w.period}\n", 0
 
 
-def _cmd_periodic(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
+def _cmd_periodic(f, args) -> _Result:
     verdict = decide_periodic(f, args.max_period, args.max_preperiod)
     payload = {"morphism": f.to_text(), **verdict.to_json()}
-    if args.format == "json":
-        text = _dumps(payload)
-    elif verdict.found:
-        text = (
-            f"eventually periodic: preperiod {payload['preperiod_word']!r},"
-            f" period {payload['period_word']!r}\n"
-        )
-    else:
-        text = "no periodic presentation within bounds\n"
-    return text, (0 if verdict.found else 2)
+    if not verdict.found:
+        return payload, lambda: "no periodic presentation within bounds\n", 2
+    u, w = payload["preperiod_word"], payload["period_word"]
+    return payload, lambda: f"eventually periodic: preperiod {u!r}, period {w!r}\n", 0
 
 
-def _cmd_residues(args) -> tuple[str, int]:
-    f = _load_morphism(args.morphism)
-    f.require_prolongable()
-    form = rank1_decompose(matrix_of(f))
-    residues = sorted(
-        block_position_residues(f, form, args.t, args.d, args.horizon)
-    )
+def _cmd_residues(f, args) -> _Result:
+    found = block_position_residues(f, _rank1_form(f), args.t, args.d, args.horizon)
+    residues = sorted(found)
     complete = residues == list(range(args.d))
     payload = {
         "morphism": f.to_text(),
@@ -265,12 +221,12 @@ def _cmd_residues(args) -> tuple[str, int]:
         "residues": residues,
         "complete": complete,
     }
-    if args.format == "json":
-        text = _dumps(payload)
-    else:
+
+    def text():
         listed = " ".join(str(r) for r in residues)
-        text = f"residues mod {args.d}: {listed}\ncomplete: {'yes' if complete else 'no'}\n"
-    return text, 0
+        return f"residues mod {args.d}: {listed}\ncomplete: {'yes' if complete else 'no'}\n"
+
+    return payload, text, 0
 
 
 def _build_parser() -> _Parser:
@@ -281,20 +237,19 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="verb", required=True)
     defaults = ClassifyOptions()
 
-    def add(verb, handler, help_text, default_format, formats, needs_morphism=True):
+    def add(verb, handler, help_text, formats):
         p = sub.add_parser(verb, help=help_text)
         p.set_defaults(handler=handler)
-        if needs_morphism:
-            p.add_argument(
-                "morphism",
-                nargs="?" if verb == "classify" else None,
-                help="morphism as 'a->WORD; b->WORD', JSON, or a file path",
-            )
-        p.add_argument("--format", choices=formats, default=default_format)
+        p.add_argument(
+            "morphism",
+            nargs="?" if verb == "classify" else None,
+            help="morphism as 'a->WORD; b->WORD', JSON, or a file path",
+        )
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
         return p
 
-    p = add("classify", _cmd_classify, "full classification with verdict report", "json", ("json", "text"))
+    p = add("classify", _cmd_classify, "full classification with verdict report", ("json", "text"))
     p.add_argument("--corpus", default=None, help="file with one morphism per line")
     p.add_argument("--kmax", type=int, default=defaults.eventual_k_max, help="eventual witness scan depth")
     p.add_argument("--horizon", type=int, default=defaults.horizon, help="evidence prefix length")
@@ -302,36 +257,36 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-preperiod", type=int, default=None)
     p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)
 
-    p = add("pure", _cmd_pure, "decide pure abelian periodicity (rank-1 only)", "json", ("json", "text"))
+    p = add("pure", _cmd_pure, "decide pure abelian periodicity (rank-1 only)", ("json", "text"))
     p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)
 
-    p = add("eventual", _cmd_eventual, "scan for an eventual abelian-period witness", "json", ("json", "text"))
+    p = add("eventual", _cmd_eventual, "scan for an eventual abelian-period witness", ("json", "text"))
     p.add_argument("--kmax", type=int, default=defaults.eventual_k_max)
 
-    p = add("prefix", _cmd_prefix, "emit a prefix of the fixed point", "text", ("text", "json"))
+    p = add("prefix", _cmd_prefix, "emit a prefix of the fixed point", ("text", "json"))
     p.add_argument("--length", type=int, required=True)
 
-    p = add("complexity", _cmd_complexity, "abelian complexity and imbalance table", "csv", ("csv", "json"))
+    p = add("complexity", _cmd_complexity, "abelian complexity and imbalance table", ("csv", "json"))
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--horizon", type=int, default=10**5)
 
-    p = add("path", _cmd_path, "lattice path heights of a prefix", "csv", ("csv", "json"))
+    p = add("path", _cmd_path, "lattice path heights of a prefix", ("csv", "json"))
     p.add_argument("--length", type=int, required=True)
 
-    add("lift", _cmd_lift, "uniform lift of a rank-1 morphism", "json", ("json", "text"))
+    add("lift", _cmd_lift, "uniform lift of a rank-1 morphism", ("json", "text"))
 
-    add("dfao", _cmd_dfao, "automaton for the lifted fixed point", "dot", ("dot", "json"))
+    add("dfao", _cmd_dfao, "automaton for the lifted fixed point", ("dot", "json"))
 
-    p = add("oracle", _cmd_oracle, "sliding abelian-period scan on a prefix", "json", ("json", "text"))
+    p = add("oracle", _cmd_oracle, "sliding abelian-period scan on a prefix", ("json", "text"))
     p.add_argument("--horizon", type=int, default=10**5)
     p.add_argument("--max-period", type=int, default=200)
     p.add_argument("--max-preperiod", type=int, default=200)
 
-    p = add("periodic", _cmd_periodic, "certified eventual-periodicity search", "json", ("json", "text"))
+    p = add("periodic", _cmd_periodic, "certified eventual-periodicity search", ("json", "text"))
     p.add_argument("--max-period", type=int, default=None)
     p.add_argument("--max-preperiod", type=int, default=None)
 
-    p = add("residues", _cmd_residues, "t-block-position residues of the first image block", "json", ("json", "text"))
+    p = add("residues", _cmd_residues, "t-block-position residues of the first image block", ("json", "text"))
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--horizon", type=int, default=3**12)
@@ -345,8 +300,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.verb == "classify" and args.corpus is None and args.morphism is None:
             raise _UsageError("classify needs a morphism or --corpus")
-        text, code = args.handler(args)
-        _emit(text, args.output)
+        if args.verb == "classify" and args.corpus is not None and args.morphism is not None:
+            raise _UsageError("classify takes a morphism or --corpus, not both")
+        f = None if args.morphism is None else _load_morphism(args.morphism)
+        payload, text, code = args.handler(f, args)
+        _emit(_dumps(payload) if args.format == "json" else text(), args.output)
         return code
     except (_UsageError, AbmorphError, OSError, ValueError) as exc:
         print(f"abmorph: {exc}", file=sys.stderr)

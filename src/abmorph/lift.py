@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateTraceError, OutOfRangeError
 from .matrices import Rank1Form
-from .words import BinaryMorphism, _expand_prefix, fixed_point_prefix
+from .words import _CHUNK, BinaryMorphism, _expand_prefix, fixed_point_prefix
 
 
 @dataclass(frozen=True)
@@ -86,13 +86,25 @@ def lift_fixed_prefix(lift: UniformLift, length: int) -> np.ndarray:
 
 
 def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:
-    """Does the coded lifted fixed point reproduce f^omega(a) on `length` letters?"""
+    """Does the coded lifted fixed point reproduce f^omega(a) on `length` letters?
+
+    The lifted fixed point is its own image, so coding the images of its
+    first ceil(length / k) states gives the first `length` letters. Those
+    states are expanded after the letter prefix, in uint8 when the lift has
+    at most 256 states, and coded and compared _CHUNK states at a time: about
+    1 + 1/k bytes per letter."""
+    letters = fixed_point_prefix(f, length).data
+    dtype = np.uint8 if lift.size <= 256 else np.int32
+    arrays = [np.array(im, dtype=dtype) for im in lift.images]
+    states = _expand_prefix(arrays, 0, -(-length // lift.k))
     codes = np.array([0 if c == "a" else 1 for c in lift.coding], dtype=np.uint8)
-    # The lifted fixed point is its own image: code the images of its first
-    # ceil(length / k) states, 4/k bytes per letter, freed before the prefix.
     coded_images = codes[np.array(lift.images)]
-    coded = coded_images[lift_fixed_prefix(lift, -(-length // lift.k))].reshape(-1)[:length]
-    return bool(np.array_equal(coded, fixed_point_prefix(f, length).data))
+    for lo in range(0, states.size, _CHUNK):
+        want = letters[lo * lift.k : (lo + _CHUNK) * lift.k]
+        coded = coded_images[states[lo : lo + _CHUNK]].reshape(-1)[: want.size]
+        if not np.array_equal(coded, want):
+            return False
+    return True
 
 
 def is_bijective(lift: UniformLift) -> bool:

@@ -247,6 +247,12 @@ class Rank1Form:
     def block_unit(self) -> int:
         return self.A + self.B
 
+    def period(self, k: int) -> int:
+        """(A+B) (nA+mB)^(k-1): the chunk length of f^k(a) and f^k(b), k >= 1."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return self.block_unit * self.trace ** (k - 1)
+
     def to_json(self) -> dict:
         return {
             "A": self.A,

@@ -150,9 +150,7 @@ def check_pure_at(f: BinaryMorphism, form: Rank1Form, k: int) -> bool:
     chunks of length (A+B) (nA+mB)^(k-1)?
 
     Chunks share a length, so equal a-counts is the whole test."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    unit = form.block_unit * form.trace ** (k - 1)
+    unit = form.period(k)
     chunks = set()
     for seed, parts in (("a", form.n), ("b", form.m)):
         counts = [prefix_parikh(f, seed, k, i * unit).count_a for i in range(parts + 1)]
@@ -190,7 +188,10 @@ def decide_pure(f: BinaryMorphism, max_configurations: int = 10**6) -> PureVerdi
 
     Walks the cut states of levels t = 1, 2, ...: all e = 0 (see _e_values)
     proves purity with period (A+B) (nA+mB)^(t-1), and a repeated tuple of
-    cut states refutes it."""
+    cut states refutes it. The cap bounds the configurations tried; it must
+    be >= 0."""
+    if max_configurations < 0:
+        raise ValueError("max_configurations must be >= 0")
     f.require_prolongable()
     form = rank1_decompose(matrix_of(f))
     lift = build_lift(f, form)
@@ -203,8 +204,7 @@ def decide_pure(f: BinaryMorphism, max_configurations: int = 10**6) -> PureVerdi
         if states in seen:
             return PureVerdict("not_pure", None, None, t, True)
         if not any(e[s] for s in states):
-            period = form.block_unit * form.trace ** (t - 1)
-            return PureVerdict("pure", t, period, t, False)
+            return PureVerdict("pure", t, form.period(t), t, False)
         seen.add(states)
         states = tuple(lift.images[s][0] for s in states)
     return PureVerdict("resource_exhausted", None, None, t, False)
@@ -265,7 +265,7 @@ def eventual_conditions_at(
     the shifted f^k(a) splits into n abelian-equivalent period-blocks, the
     shifted f^k(b) into m, all n + m blocks are pairwise equivalent, and the
     two length-c prefixes are abelian equivalent."""
-    period = form.block_unit * form.trace ** (k - 1)
+    period = form.period(k)
     if not 0 <= cut_offset < period:
         raise ValueError(f"cut offset must lie in [0, {period})")
     ca, head_a = _cyclic_chunk_counts(f, "a", form.n, k, period, cut_offset)
@@ -280,7 +280,7 @@ def eventual_check_at(f: BinaryMorphism, form: Rank1Form, k: int):
     """Scan all cut offsets c in [0, period) at level k; return the first
     witness or None. A witness proves f^omega(a) is abelian periodic with
     period (A+B) (nA+mB)^(k-1) and preperiod c."""
-    period = form.block_unit * form.trace ** (k - 1)
+    period = form.period(k)
     for c in range(period):
         # prefix equivalence is the cheapest condition; gate on it first
         if prefix_parikh(f, "a", k, c) != prefix_parikh(f, "b", k, c):
@@ -301,7 +301,7 @@ def eventual_scan(
         raise ValueError("k_max must be >= 0")
     budget = offset_budget
     for k in range(1, k_max + 1):
-        period = form.block_unit * form.trace ** (k - 1)
+        period = form.period(k)
         if period > budget:
             return None, k - 1
         budget -= period
@@ -335,6 +335,6 @@ def block_position_residues(
     starts = np.flatnonzero(states == 0)
     # every start is below horizon + 1, so a longer unit aligns only start 0,
     # as horizon + 1 does; the cap keeps the arithmetic in int64
-    unit = min(form.block_unit * form.trace ** (t - 1), horizon + 1)
+    unit = min(form.period(t), horizon + 1)
     aligned = starts[starts % unit == 0] // unit
     return {int(r) for r in np.unique(aligned % d)}

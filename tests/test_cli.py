@@ -321,3 +321,22 @@ class TestDefaults:
         assert args.max_configurations == defaults.max_configurations
         args = parser.parse_args(["eventual", "a->ab; b->ba"])
         assert args.kmax == defaults.eventual_k_max
+
+
+class TestRejectedInputs:
+    def test_morphism_and_corpus_together(self, capsys, tmp_path):
+        # the positional argument used to be dropped without being parsed
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a->ab; b->ba\n")
+        for morphism in ("a->xy; b->b", "a->ab; b->ba"):
+            code, out, err = run(capsys, "classify", morphism,
+                                 "--corpus", str(corpus))
+            assert code == 1 and out == ""
+            assert err.startswith("abmorph:")
+
+    @pytest.mark.parametrize("verb", ["pure", "classify"])
+    def test_negative_configuration_cap(self, capsys, verb):
+        code, out, err = run(capsys, verb, "a->ab; b->bbaa",
+                             "--max-configurations", "-1")
+        assert code == 1 and out == ""
+        assert err == "abmorph: max_configurations must be >= 0\n"

@@ -216,3 +216,41 @@ class TestLiftKernel:
             first = lift_fixed_prefix(lift, 200).tolist().index(s)
             assert lift_verify(f, bad, first)
             assert not lift_verify(f, bad, first + 1)
+
+
+class TestVerifyChunks:
+    """lift_verify expands narrow states and compares chunk by chunk."""
+
+    @pytest.mark.parametrize("text", ["a->ab; b->bbaa", "a->ab; b->ba"])
+    def test_memory_per_letter_at_scale(self, text):
+        # The letter prefix (1 byte per letter), then ceil(n / k) uint8
+        # states; coding and comparing n letters at once held 3.0.
+        f, lift = lift_of(text)
+        n = 10**7
+        tracemalloc.start()
+        try:
+            ok = lift_verify(f, lift, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak / n <= 2.0
+
+    def test_lengths_around_a_chunk(self):
+        f, lift = lift_of("a->ab; b->bbaa")
+        for n in (0, 1, _CHUNK * lift.k - 1, _CHUNK * lift.k,
+                  _CHUNK * lift.k + 1):
+            assert lift_verify(f, lift, n)
+
+    def test_more_than_256_states(self):
+        # 400 states do not fit uint8 state ids: the int32 path.
+        f, lift = lift_of("a->" + "ab" * 100 + "; b->" + "ba" * 100)
+        assert lift.size == 400
+        assert lift_verify(f, lift, 10**5)
+        coding = list(lift.coding)
+        coding[399] = "b" if coding[399] == "a" else "a"
+        bad = UniformLift(lift.image_length_a, lift.image_length_b,
+                          lift.k, lift.images, tuple(coding))
+        first = lift_fixed_prefix(lift, 10**4).tolist().index(399)
+        assert lift_verify(f, bad, first)
+        assert not lift_verify(f, bad, first + 1)

@@ -409,3 +409,32 @@ class TestEValues:
             assert e[lift_state_at(lift, seed, t, 0)] == 0
             whole = prefix_parikh(f, seed, t, length)
             assert form.block_unit * whole.count_a == form.A * length
+
+
+class TestLevelBounds:
+    """Levels start at 1 and the configuration cap at 0, for every entry."""
+
+    def test_period_per_level(self):
+        form = form_of(parse_morphism("a->ab; b->bbaa"))
+        assert [form.period(k) for k in (1, 2, 3)] == [2, 6, 18]
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                form.period(k)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_levels_below_one_are_rejected(self, k):
+        f = parse_morphism("a->ab; b->bbaa")
+        form = form_of(f)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            eventual_check_at(f, form, k)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            eventual_conditions_at(f, form, k, 0)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            check_pure_at(f, form, k)
+
+    def test_negative_configuration_cap(self):
+        f = parse_morphism("a->ab; b->bbaa")
+        with pytest.raises(ValueError, match="max_configurations"):
+            decide_pure(f, max_configurations=-1)
+        v = decide_pure(f, max_configurations=0)
+        assert (v.status, v.iterations_used) == ("resource_exhausted", 0)
