@@ -9,6 +9,7 @@ answer because the rank-1 eventual case has no known scan bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .analysis import _prefix_counts, _window_spread
 from .matrices import (
@@ -233,7 +234,8 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
 
 
 def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:
-    """The reason for f and the witnesses and bounds behind it."""
+    """The reason for f and the witnesses and bounds behind it. The primitive
+    and rank-1 outcomes name the witnesses they share once, as partial Verdicts."""
     f.require_prolongable()
     mat = matrix_of(f)
     prof = spectral_profile(mat)
@@ -255,14 +257,12 @@ def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:
             bounds=bounds + (("horizon", opts.horizon),),
         )
 
-    freq = letter_frequencies(f)
+    primitive = partial(Verdict, spectral=prof, frequencies=letter_frequencies(f))
 
     if prof.theta2_kind != THETA2_ZERO:
         form_km = special_form_exponents(f)
         if form_km is not None:
-            return Verdict(
-                REASON_SPECIAL_FORM, prof, special_form=form_km, frequencies=freq
-            )
+            return primitive(REASON_SPECIAL_FORM, special_form=form_km)
         if prof.theta2_abs_class == ABS_GT_ONE:
             reason = REASON_GT_ONE_UNBALANCED
         elif prof.theta2_abs_class == ABS_IN_OPEN_UNIT_INTERVAL:
@@ -272,48 +272,27 @@ def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:
             reason = (
                 REASON_ONE_FORM_FAILS if prof.theta2_value == 1 else REASON_MINUS_ONE
             )
-        return Verdict(reason, prof, frequencies=freq)
+        return primitive(reason)
 
     form = rank1_decompose(mat)
     pure = decide_pure(f, max_configurations=opts.max_configurations)
+    rank1 = partial(primitive, rank1=form, pure=pure)
     if pure.status == "pure":
-        return Verdict(
-            REASON_CHUNKS_EQUIVALENT, prof, rank1=form, pure=pure, frequencies=freq
-        )
+        return rank1(REASON_CHUNKS_EQUIVALENT)
     if pure.status == "resource_exhausted":
-        return Verdict(
-            REASON_RESOURCE_EXHAUSTED,
-            prof,
-            rank1=form,
-            pure=pure,
-            frequencies=freq,
-            bounds=(("max_configurations", opts.max_configurations),),
-        )
+        bounds = (("max_configurations", opts.max_configurations),)
+        return rank1(REASON_RESOURCE_EXHAUSTED, bounds=bounds)
 
-    witness, k_scanned = eventual_scan(
-        f, form, opts.eventual_k_max, opts.eventual_offset_budget
-    )
+    k_max, budget = opts.eventual_k_max, opts.eventual_offset_budget
+    witness, k_scanned = eventual_scan(f, form, k_max, budget)
     if witness is not None:
-        return Verdict(
-            REASON_EVENTUAL_WITNESS,
-            prof,
-            rank1=form,
-            pure=pure,
-            eventual=witness,
-            frequencies=freq,
-        )
-    return Verdict(
-        REASON_PURE_REFUTED_OPEN,
-        prof,
-        rank1=form,
-        pure=pure,
-        frequencies=freq,
-        bounds=(
-            ("eventual_k_max", opts.eventual_k_max),
-            ("eventual_k_scanned", k_scanned),
-            ("eventual_offset_budget", opts.eventual_offset_budget),
-        ),
+        return rank1(REASON_EVENTUAL_WITNESS, eventual=witness)
+    bounds = (
+        ("eventual_k_max", k_max),
+        ("eventual_k_scanned", k_scanned),
+        ("eventual_offset_budget", budget),
     )
+    return rank1(REASON_PURE_REFUTED_OPEN, bounds=bounds)
 
 
 def _to_json(x) -> dict | None:

@@ -33,9 +33,8 @@ from .classify import (
 )
 from .errors import AbmorphError
 from .lift import build_lift, dfao_dot, dfao_table, is_bijective
-from .matrices import Rank1Form, matrix_of, rank1_decompose
 from .periodic import decide_periodic
-from .rank1 import block_position_residues, decide_pure, eventual_scan
+from .rank1 import _rank1_form, block_position_residues, decide_pure, eventual_scan
 from .words import BinaryMorphism, fixed_point_prefix, parse_morphism
 
 
@@ -83,12 +82,6 @@ def _options_from(args) -> ClassifyOptions:
         max_preperiod=args.max_preperiod,
         max_configurations=args.max_configurations,
     )
-
-
-def _rank1_form(f: BinaryMorphism) -> Rank1Form:
-    """The rank-1 form of f; a non-prolongable f fails before a non-rank-1 one."""
-    f.require_prolongable()
-    return rank1_decompose(matrix_of(f))
 
 
 def _classify_text(report: dict) -> str:
@@ -212,7 +205,7 @@ def _cmd_periodic(f, args) -> _Result:
 def _cmd_residues(f, args) -> _Result:
     found = block_position_residues(f, _rank1_form(f), args.t, args.d, args.horizon)
     residues = sorted(found)
-    complete = residues == list(range(args.d))
+    complete = len(residues) == args.d  # residues lie in [0, d)
     payload = {
         "morphism": f.to_text(),
         "t": args.t,
@@ -306,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         payload, text, code = args.handler(f, args)
         _emit(_dumps(payload) if args.format == "json" else text(), args.output)
         return code
-    except (_UsageError, AbmorphError, OSError, ValueError) as exc:
+    except (_UsageError, AbmorphError, OSError, ValueError, MemoryError) as exc:
         print(f"abmorph: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +37,12 @@ def block_length(f: BinaryMorphism, form: Rank1Form, u) -> int:
     total = la * pv.count_a + lb * pv.count_b
     assert total % form.block_unit == 0
     return total // form.block_unit
+
+
+def _rank1_form(f: BinaryMorphism) -> Rank1Form:
+    """The rank-1 form of f; a non-prolongable f fails before a non-rank-1 one."""
+    f.require_prolongable()
+    return rank1_decompose(matrix_of(f))
 
 
 def _tables(f: BinaryMorphism, t: int):
@@ -123,11 +131,15 @@ def _e_values(lift: UniformLift, form: Rank1Form) -> list[int]:
     return values
 
 
-def _first_cuts(lift: UniformLift, form: Rank1Form) -> tuple[int, ...]:
-    """Cut states at level 1: (a, i(A+B)) for i = 1..n-1, then (b, j(A+B))
-    for j = 1..m-1."""
+def _cut_levels(lift: UniformLift, form: Rank1Form) -> Iterator[tuple[int, ...]]:
+    """Cut states of levels t = 1, 2, ...: level 1 is (a, i(A+B)) for
+    i = 1..n-1, then (b, j(A+B)) for j = 1..m-1, and each further level
+    reads the digit 0 from every state."""
     unit, la = form.block_unit, lift.image_length_a
-    return tuple(range(unit, la, unit)) + tuple(range(la + unit, lift.size, unit))
+    states = tuple(range(unit, la, unit)) + tuple(range(la + unit, lift.size, unit))
+    while True:
+        yield states
+        states = tuple(lift.images[s][0] for s in states)
 
 
 def configuration_of(f: BinaryMorphism, form: Rank1Form, t: int) -> CutConfiguration:
@@ -138,24 +150,9 @@ def configuration_of(f: BinaryMorphism, form: Rank1Form, t: int) -> CutConfigura
     if t < 1:
         raise ValueError("t must be >= 1")
     lift = build_lift(f, form)
-    states = _first_cuts(lift, form)
-    for _ in range(t - 1):
-        states = tuple(lift.images[s][0] for s in states)
+    states = next(islice(_cut_levels(lift, form), t - 1, None))
     cuts = [CutDescriptor(*lift.letter_pair(s)) for s in states]
     return CutConfiguration(tuple(cuts[: form.n - 1]), tuple(cuts[form.n - 1 :]))
-
-
-def check_pure_at(f: BinaryMorphism, form: Rank1Form, k: int) -> bool:
-    """Do f^k(a) and f^k(b) split into n + m pairwise abelian-equivalent
-    chunks of length (A+B) (nA+mB)^(k-1)?
-
-    Chunks share a length, so equal a-counts is the whole test."""
-    unit = form.period(k)
-    chunks = set()
-    for seed, parts in (("a", form.n), ("b", form.m)):
-        counts = [prefix_parikh(f, seed, k, i * unit).count_a for i in range(parts + 1)]
-        chunks.update(hi - lo for lo, hi in zip(counts, counts[1:]))
-    return len(chunks) == 1
 
 
 @dataclass(frozen=True)
@@ -192,22 +189,19 @@ def decide_pure(f: BinaryMorphism, max_configurations: int = 10**6) -> PureVerdi
     be >= 0."""
     if max_configurations < 0:
         raise ValueError("max_configurations must be >= 0")
-    f.require_prolongable()
-    form = rank1_decompose(matrix_of(f))
+    form = _rank1_form(f)
     lift = build_lift(f, form)
     e = _e_values(lift, form)
-    states = _first_cuts(lift, form)
     seen: set[tuple[int, ...]] = set()
-    t = 0
-    while len(seen) < max_configurations:
-        t += 1
+    # each level returns or adds one tuple to seen, so capping levels caps seen
+    levels = islice(_cut_levels(lift, form), max_configurations)
+    for t, states in enumerate(levels, 1):
         if states in seen:
             return PureVerdict("not_pure", None, None, t, True)
         if not any(e[s] for s in states):
             return PureVerdict("pure", t, form.period(t), t, False)
         seen.add(states)
-        states = tuple(lift.images[s][0] for s in states)
-    return PureVerdict("resource_exhausted", None, None, t, False)
+    return PureVerdict("resource_exhausted", None, None, max_configurations, False)
 
 
 @dataclass(frozen=True)
@@ -264,7 +258,12 @@ def eventual_conditions_at(
     """Evaluate the witness conditions at level k and shift c = cut_offset:
     the shifted f^k(a) splits into n abelian-equivalent period-blocks, the
     shifted f^k(b) into m, all n + m blocks are pairwise equivalent, and the
-    two length-c prefixes are abelian equivalent."""
+    two length-c prefixes are abelian equivalent. That is the paper's
+    condition at K = k: f^K(a) = uv, f^K(b) = u'v' with u = f^K(a)[:c] and
+    u' = f^K(b)[:c] equivalent, and vu, v'u' abelian periodic with equivalent
+    periods. The one period P = (A+B) (nA+mB)^(K-1) suffices: a common period
+    p divides |f^K(a)| = nP and |f^K(b)| = mP, so p divides P as gcd(n, m) = 1.
+    Purity is c = 0 (check_pure_at). Counts come from prefix_parikh alone."""
     period = form.period(k)
     if not 0 <= cut_offset < period:
         raise ValueError(f"cut offset must lie in [0, {period})")
@@ -274,6 +273,12 @@ def eventual_conditions_at(
     b_ok = all(c == cb[0] for c in cb)
     cross = all(c == ca[0] for c in ca + cb)
     return EventualConditions(a_ok, b_ok, cross, head_a == head_b)
+
+
+def check_pure_at(f: BinaryMorphism, form: Rank1Form, k: int) -> bool:
+    """Do f^k(a) and f^k(b) split into n + m pairwise abelian-equivalent
+    chunks of length (A+B) (nA+mB)^(k-1)? The eventual witness at offset 0."""
+    return eventual_conditions_at(f, form, k, 0).witness
 
 
 def eventual_check_at(f: BinaryMorphism, form: Rank1Form, k: int):
@@ -334,7 +339,9 @@ def block_position_residues(
     states = lift_fixed_prefix(lift, max(0, horizon - lift.image_length_a + 1))
     starts = np.flatnonzero(states == 0)
     # every start is below horizon + 1, so a longer unit aligns only start 0,
-    # as horizon + 1 does; the cap keeps the arithmetic in int64
-    unit = min(form.period(t), horizon + 1)
+    # as horizon + 1 does; the cap keeps the arithmetic in int64. The period
+    # is at least 2^t, past the horizon once t >= horizon.bit_length()
+    short = t < horizon.bit_length()
+    unit = min(form.period(t), horizon + 1) if short else horizon + 1
     aligned = starts[starts % unit == 0] // unit
     return {int(r) for r in np.unique(aligned % d)}

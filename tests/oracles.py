@@ -167,3 +167,20 @@ def naive_pure(image_a: str, image_b: str, max_configurations: int) -> dict:
         seen.add(cuts)
     return {"status": "resource_exhausted", "k": None, "period": None,
             "iterations_used": t, "cycle_detected": False}
+
+
+def naive_eventual_conditions(wa: str, wb: str, c: int):
+    """The four eventual-witness conditions at offset c, read off the words
+    wa = f^k(a) and wb = f^k(b), k >= 1, each shifted cyclically by c: the
+    chunks of the shifted wa share an a-count, those of wb do, all of them
+    do, and the length-c prefixes of wa and wb are anagrams.  The chunk
+    length is gcd(|wa|, |wb|)."""
+    unit = gcd(len(wa), len(wb))
+    counts = []
+    for w in (wa, wb):
+        shifted = w[c:] + w[:c]
+        counts.append([shifted[i:i + unit].count("a")
+                       for i in range(0, len(shifted), unit)])
+    ca, cb = counts
+    return (len(set(ca)) == 1, len(set(cb)) == 1, len(set(ca + cb)) == 1,
+            naive_parikh(wa[:c]) == naive_parikh(wb[:c]))

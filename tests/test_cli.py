@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, determinism, batch mode."""
 
 import json
+import time
 from functools import lru_cache
 
 import pytest
@@ -340,3 +341,51 @@ class TestRejectedInputs:
                              "--max-configurations", "-1")
         assert code == 1 and out == ""
         assert err == "abmorph: max_configurations must be >= 0\n"
+
+
+# Each of these asks numpy for one array of at least 4 * 10**14 bytes, above
+# the 2**47-byte user address space of x86-64, so the allocation fails at
+# once on any 64-bit host and nothing is ever held.
+TOO_LARGE = [
+    ["prefix", "a->ab; b->ba", "--length", str(10**15)],
+    ["path", "a->ab; b->ba", "--length", str(10**15)],
+    ["oracle", "a->ab; b->ba", "--horizon", str(10**15)],
+    ["complexity", "a->ab; b->ba", "--nmax", "4", "--horizon", str(10**15)],
+    ["residues", "a->ab; b->bbaa", "--t", "1", "--d", "5",
+     "--horizon", str(10**15)],
+    ["classify", "a->aab; b->b", "--horizon", str(10**15)],
+    ["periodic", "a->ab; b->b", "--max-period", str(10**14)],
+]
+
+
+class TestTooLargeForMemory:
+    @pytest.mark.parametrize("argv", TOO_LARGE, ids=lambda a: a[0])
+    def test_exits_1_with_a_message(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("abmorph:")
+        assert "Traceback" not in err
+
+
+class TestResiduesAtHugeArguments:
+    def test_level_past_the_horizon_returns_at_once(self, capsys):
+        # the period (A+B) trace^(t-1) has about 1.6e12 bits at t = 10**12;
+        # past the horizon only the cap matters, so it is never computed
+        outs = []
+        for t in (60, 10**12):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "residues", "a->ab; b->bbaa",
+                                 "--t", str(t), "--d", "5", "--horizon", "100")
+            assert time.perf_counter() - start < 5
+            assert code == 0 and err == ""
+            outs.append(json.loads(out)["residues"])
+        assert outs == [[0], [0]]
+
+    def test_huge_modulus_builds_no_residue_list(self, capsys):
+        # completeness used to compare with list(range(d)): 8e15 bytes here
+        d = 10**15 + 1  # coprime to the trace 3
+        code, out, err = run(capsys, "residues", "a->ab; b->bbaa",
+                             "--t", "1", "--d", str(d), "--horizon", "100")
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["complete"] is False and 0 < len(payload["residues"]) < 100

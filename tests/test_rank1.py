@@ -9,6 +9,7 @@ from abmorph import (
     CutConfiguration,
     CutDescriptor,
     EventualConditions,
+    EventualWitness,
     NotCoprimeError,
     OutOfRangeError,
     block_length,
@@ -30,7 +31,13 @@ from abmorph import (
 )
 from abmorph.rank1 import _e_values
 from conftest import random_morphism, random_rank1_morphism
-from oracles import naive_chunks, naive_parikh, naive_power, naive_pure
+from oracles import (
+    naive_chunks,
+    naive_eventual_conditions,
+    naive_parikh,
+    naive_power,
+    naive_pure,
+)
 
 
 def form_of(f):
@@ -318,6 +325,24 @@ class TestBlockPositionResidues:
         with pytest.raises(NotCoprimeError):
             block_position_residues(f, form, 1, 6, 100)
 
+    def test_units_around_the_period_shortcut(self, rng):
+        # from t = horizon.bit_length() on the unit is horizon + 1 without
+        # computing the period; the levels just below must still use it
+        checked = 0
+        for _ in range(60):
+            f = random_rank1_morphism(rng, max_unit=1, max_mult=2)
+            form = form_of(f)
+            horizon = rng.randint(len(f.image_a), 200)
+            edge = horizon.bit_length()
+            for t in range(max(1, edge - 3), edge + 2):
+                d = rng.choice([d for d in range(1, 8)
+                                if math.gcd(d, form.trace) == 1])
+                unit = form.block_unit * form.trace ** (t - 1)
+                assert block_position_residues(f, form, t, d, horizon) == \
+                    self.naive(f, unit, d, horizon), (f, t, d, horizon)
+                checked += 1
+        assert checked >= 200
+
     def test_short_horizons(self):
         # a block counts only when it ends inside the horizon, and a unit
         # past every int64 still aligns the first block
@@ -438,3 +463,45 @@ class TestLevelBounds:
             decide_pure(f, max_configurations=-1)
         v = decide_pure(f, max_configurations=0)
         assert (v.status, v.iterations_used) == ("resource_exhausted", 0)
+
+
+def rank1_levels(rng, count, max_letters=3000):
+    """count seeded (f, form, k, f^k(a), f^k(b)) with period * max(n, m),
+    the length of the longer word, at most max_letters."""
+    levels = []
+    while len(levels) < count:
+        f = random_rank1_morphism(rng)
+        form = form_of(f)
+        k = 1
+        while form.period(k) * max(form.n, form.m) <= max_letters:
+            words = [naive_power(str(f.image_a), str(f.image_b), x, k)
+                     for x in "ab"]
+            levels.append((f, form, k, *words))
+            k += 1
+    return levels[:count]
+
+
+class TestEventualAgainstMaterializedWords:
+    """eventual_conditions_at, check_pure_at and eventual_check_at against
+    the conditions read off the materialized, cyclically shifted words."""
+
+    def test_conditions_match_naive(self, rng):
+        for f, form, k, wa, wb in rank1_levels(rng, 300):
+            period = form.period(k)
+            for c in {0, period - 1, *(rng.randrange(period) for _ in range(4))}:
+                got = eventual_conditions_at(f, form, k, c)
+                assert got == EventualConditions(*naive_eventual_conditions(
+                    wa, wb, c)), (f, k, c)
+            assert check_pure_at(f, form, k) == \
+                all(naive_eventual_conditions(wa, wb, 0))
+
+    def test_scan_returns_the_first_witness(self, rng):
+        found = 0
+        for f, form, k, wa, wb in rank1_levels(rng, 300):
+            period = form.period(k)
+            first = next((c for c in range(period)
+                          if all(naive_eventual_conditions(wa, wb, c))), None)
+            want = None if first is None else EventualWitness(k, first, period)
+            assert eventual_check_at(f, form, k) == want, (f, k)
+            found += first is not None
+        assert 50 <= found < 300

@@ -1,4 +1,5 @@
-"""The `abmorph ...` examples in the README's CLI section run as written."""
+"""The README examples run as written: the `abmorph ...` lines of the CLI
+section and the Python blocks of the library tour."""
 
 import re
 import shlex
@@ -36,3 +37,17 @@ def test_example_runs(capsys, tmp_path, line):
     assert code in (0, 2)
     assert captured.err == ""
     assert captured.out != ""
+
+
+def _library_tour():
+    section = README.read_text().split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, re.S)
+
+
+def test_library_tour_runs():
+    # the tour's blocks build on each other (f, m), so they share one namespace
+    blocks = _library_tour()
+    assert len(blocks) == 6
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
