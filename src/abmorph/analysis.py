@@ -33,10 +33,17 @@ def _as_array(source) -> np.ndarray:
     return arr
 
 
-def _prefix_counts(arr: np.ndarray) -> np.ndarray:
-    """P[i] = number of a's (letter code 0) among the first i letters; int32
-    (4 bytes per letter) while every count fits."""
-    dtype = np.int32 if arr.size < 2**31 else np.int64
+def _prefix_counts(arr: np.ndarray, longest: int | None = None) -> np.ndarray:
+    """P[i] = number of a's (letter code 0) among the first i letters, modulo
+    2^w in the narrowest unsigned dtype with 2^w > longest (default: the
+    whole prefix, so the counts themselves are exact). Wrapping unsigned
+    subtraction P[i + m] - P[i] is then the exact a-count of any window of
+    m <= longest letters: one byte per letter up to windows of 255."""
+    longest = arr.size if longest is None else longest
+    bits = 8
+    while longest >= 2**bits:
+        bits *= 2
+    dtype = np.dtype(f"uint{bits}")
     counts = np.zeros(arr.size + 1, dtype=dtype)
     np.cumsum(arr == 0, dtype=dtype, out=counts[1:])
     return counts
@@ -45,7 +52,7 @@ def _prefix_counts(arr: np.ndarray) -> np.ndarray:
 def _window_spread(counts: np.ndarray, length: int) -> int:
     """imbalance_at(word, length), given the prefix counts of the word."""
     win = counts[length:] - counts[:-length]
-    return int(win.max() - win.min())
+    return int(win.max()) - int(win.min())
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ def validate_abelian_period(source, preperiod: int, period: int) -> bool:
             f"prefix of {arr.size} leaves {nblocks} complete blocks for "
             f"(r={preperiod}, p={period}); need at least 2"
         )
-    counts = _prefix_counts(arr)
+    counts = _prefix_counts(arr, period)
     idx = preperiod + period * np.arange(nblocks + 1, dtype=np.int64)
     sums = np.diff(counts[idx])
     return bool(np.all(sums == sums[0]))
@@ -77,6 +84,13 @@ def abelian_period_oracle(source, max_period: int, max_preperiod: int):
     """Lexicographically minimal (preperiod, period), preperiod first, such
     that every complete block in the prefix has the same Parikh vector.
     Returns None when no candidate within bounds survives the whole prefix.
+
+    Periods ascend, so a later period wins only with a smaller preperiod:
+    each hit lowers the preperiod limit below itself. For a period p, length-p
+    windows at j and j + p that differ in a-count rule out every start <= j
+    of the class j mod p. These disagreements are read tail first, and p is
+    dropped once every class has one past the limit; only when some class
+    is still alive there is the head read.
     """
     arr = _as_array(source)
     if max_period < 1 or max_preperiod < 0:
@@ -86,28 +100,56 @@ def abelian_period_oracle(source, max_period: int, max_preperiod: int):
             f"prefix of {arr.size} is shorter than 2*max_period + max_preperiod "
             f"= {2 * max_period + max_preperiod}"
         )
-    counts = _prefix_counts(arr)
+    counts = _prefix_counts(arr, max_period)
     n = arr.size
     best = None
-    # Periods ascend, so a later period wins only with a smaller preperiod:
-    # each hit lowers the preperiod limit below itself.
     limit = max_preperiod
     for p in range(1, max_period + 1):
         limit = min(limit, n - 2 * p)  # two complete blocks after r
         if limit < 0:
             break
-        win = counts[p:] - counts[:-p]  # a-count of each length-p window
-        agree = win[:-p] == win[p:]
-        # ok[i]: windows i, i+p, i+2p, ... all agree. Laid out in rows of p
-        # (padded with True), that is a suffix-AND down every column.
-        grid = np.ones(-(-agree.size // p) * p, dtype=bool)
-        grid[: agree.size] = agree
-        ok = np.logical_and.accumulate(grid.reshape(-1, p)[::-1], axis=0)[::-1]
-        hits = np.flatnonzero(ok.reshape(-1)[: limit + 1])
-        if hits.size:
-            best = AbelianPeriodWitness(int(hits[0]), p, n)
-            limit = int(hits[0]) - 1
+        start = _first_start(counts, p, limit)
+        if start is not None:
+            best = AbelianPeriodWitness(start, p, n)
+            limit = start - 1
     return best
+
+
+def _differs(counts: np.ndarray, p: int, lo: int, hi: int) -> np.ndarray:
+    """Entry j - lo, for j in [lo, hi): do the length-p windows at j and
+    j + p differ in a-count?"""
+    win = counts[lo + p : hi + 2 * p] - counts[lo : hi + p]
+    return win[:-p] != win[p:]
+
+
+def _first_start(counts: np.ndarray, p: int, limit: int) -> int | None:
+    """Smallest r <= limit whose length-p windows r, r + p, r + 2p, ... all
+    have the same a-count, or None.
+
+    The smallest survivor of a class is its last disagreement + p, or the
+    residue itself when it has none, so any disagreement past limit - p
+    kills its class. That tail is read from the end in whole rows of p,
+    4 rows first and twice as many each time.
+    """
+    hi = counts.size - 2 * p  # disagreements are indexed 0 .. n - 2p
+    # [head, hi) is whole rows of p; the j > limit - p it leaves below head
+    # give starts past limit, which the head filter drops
+    head = hi - (hi - max(limit - p + 1, 0)) // p * p
+    alive = np.ones(p, dtype=bool)  # entry c: the class of head + c
+    rows = 4
+    while hi > head:
+        lo = max(head, hi - rows * p)
+        alive &= ~_differs(counts, p, lo, hi).reshape(-1, p).any(axis=0)
+        if not alive.any():
+            return None
+        hi, rows = lo, 2 * rows
+    alive = np.roll(alive, head % p)
+    last = np.arange(p) - p  # last + p is the residue when a class has none
+    js = np.flatnonzero(_differs(counts, p, 0, head))
+    np.maximum.at(last, js % p, js)
+    first = (last + p)[alive]
+    first = first[first <= limit]
+    return int(first.min()) if first.size else None
 
 
 @dataclass(frozen=True)
@@ -140,7 +182,7 @@ def imbalance_at(source, length: int) -> int:
         raise HorizonTooShortError(
             f"window length {length} does not fit in a prefix of {arr.size}"
         )
-    return _window_spread(_prefix_counts(arr), length)
+    return _window_spread(_prefix_counts(arr, length), length)
 
 
 def complexity_profile(source, nmax: int) -> ComplexityProfile:
@@ -157,7 +199,7 @@ def complexity_profile(source, nmax: int) -> ComplexityProfile:
         raise HorizonTooShortError(
             f"prefix of {arr.size} is shorter than 2*nmax = {2 * nmax}"
         )
-    counts = _prefix_counts(arr)
+    counts = _prefix_counts(arr, nmax)
     lengths = np.arange(1, nmax + 1, dtype=np.int64)
     imbalance = np.empty(nmax, dtype=np.int64)
     for i, ell in enumerate(lengths):

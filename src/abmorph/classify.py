@@ -201,7 +201,7 @@ def imbalance_evidence(
     count spread reaching `target`; keep the best seen otherwise."""
     if horizon < 2:
         return None
-    counts = _prefix_counts(fixed_point_prefix(f, horizon).data)
+    counts = _prefix_counts(fixed_point_prefix(f, horizon).data, horizon // 2)
     n = counts.size - 1
     best_len, best_im = 1, 0
     ell = 1
@@ -226,6 +226,8 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     then a bounded scan for an eventual witness. A verdict whose reason's
     row asks for it then gets imbalance evidence."""
     opts = options or ClassifyOptions()
+    if opts.horizon < 0:
+        raise ValueError("horizon must be >= 0")
     verdict = _route(f, opts)
     if opts.collect_evidence and OUTCOMES[verdict.reason][2]:
         evidence = imbalance_evidence(f, opts.horizon, EVIDENCE_TARGET)

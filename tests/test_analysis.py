@@ -244,3 +244,117 @@ class TestPrefixCountWidth:
         witness = abelian_period_oracle("a" * 40000 + "b" * 40000, 2, 40000)
         assert (witness.preperiod, witness.period) == (40000, 1)
         assert complexity_profile(w, 3).complexity.tolist() == [2, 2, 2]
+
+
+def planted_word(rng, junk, period, length):
+    """`junk` random letters, then shuffles of one block of `period` letters,
+    cut at `length`: abelian periodic from `junk` on with period `period`."""
+    block = list(random_word(rng, period, period))
+    letters = list(random_word(rng, junk, junk))
+    while len(letters) < length:
+        rng.shuffle(block)
+        letters += block
+    return letters[:length]
+
+
+class TestOracleEarlyExit:
+    """The oracle reads window agreements from the end of the prefix and
+    drops a period once every residue class has disagreed there; only
+    then does it read the head. Words aimed at each exit must still get
+    the naive oracle's answer."""
+
+    def test_matches_naive_at_every_exit(self, rng):
+        for case in range(1600):
+            max_p, max_r = rng.randint(1, 20), rng.randint(0, 30)
+            n = rng.randint(2 * max_p + max_r, 2 * max_p + max_r + 120)
+            where = case % 4  # plain random, or a flip near the end / limit / in the head
+            if where == 0:
+                letters = list(random_word(rng, n, n))
+            else:
+                letters = planted_word(rng, rng.randint(0, max_r + 3),
+                                       rng.randint(1, max_p + 2), n)
+                if where == 1:
+                    i = rng.randrange(max(0, n - 12), n)
+                elif where == 2:
+                    i = min(n - 1, max(0, max_r + rng.randint(-6, 6)))
+                else:
+                    i = rng.randrange(0, max_r + 1)
+                if rng.random() < 0.75:
+                    letters[i] = "b" if letters[i] == "a" else "a"
+            w = "".join(letters)
+            got = abelian_period_oracle(w, max_p, max_r)
+            got = None if got is None else (got.preperiod, got.period)
+            assert got == naive_abelian_period(w, max_p, max_r), (w, max_p, max_r)
+
+
+def wide_spread(arr, length):
+    """imbalance_at from int64 prefix counts: the exact reference."""
+    counts = np.concatenate([[0], np.cumsum(arr == 0, dtype=np.int64)])
+    win = counts[length:] - counts[:-length]
+    return int(win.max() - win.min())
+
+
+def runs_then_random(width, length, seed):
+    """Runs of width + 1 a's and b's, so the windows of `width` letters hold
+    from 0 to `width` a's, then random letters up to `length`."""
+    tail = np.random.default_rng(seed).integers(0, 2, length - 2 * width - 2)
+    return np.concatenate([np.zeros(width + 1), np.ones(width + 1), tail]).astype(np.uint8)
+
+
+def alternating_runs(width, length):
+    """a^width b^width a^width ... cut at `length`: blocks of `width` letters
+    after 0 hold width and 0 a's in turn."""
+    return np.tile(np.repeat(np.array([0, 1], dtype=np.uint8), width),
+                   length // (2 * width) + 1)[:length]
+
+
+class TestCountWidthBoundaries:
+    """Prefix counts are kept modulo 2^8, 2^16, ... according to the widest
+    window the caller reads. At each width boundary, on prefixes past 2^16
+    letters (so narrow counts wrap many times), window counts stay exact."""
+
+    WIDTHS = [255, 256, 65535, 65536, 65537]
+    LONG = 2**17 + 5
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_imbalance_at(self, width):
+        w = runs_then_random(width, 2 * self.LONG, width)
+        assert imbalance_at(w, width) == wide_spread(w, width) == width
+        assert imbalance_at(w, width - 1) == wide_spread(w, width - 1) == width - 1
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_validate_abelian_period(self, width):
+        rng = np.random.default_rng(width)
+        nblocks = max(3, self.LONG // width + 1)
+        base = (np.arange(width) < width // 3).astype(np.uint8)
+        body = rng.permuted(np.tile(base, (nblocks, 1)), axis=1).ravel()
+        w = np.concatenate([rng.integers(0, 2, 7).astype(np.uint8), body])
+        assert validate_abelian_period(w, 7, width)
+        w[-1] ^= 1
+        assert not validate_abelian_period(w, 7, width)
+        assert not validate_abelian_period(alternating_runs(width, 3 * self.LONG), 0, width)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_oracle(self, width):
+        # max_period = width fixes the count width; the answer is at p = 2
+        tm = fixed_point_prefix(parse_morphism("a->ab; b->ba"), 2 * width + self.LONG)
+        wit = abelian_period_oracle(tm, width, 30)
+        assert (wit.preperiod, wit.period) == (0, 2)
+
+    @pytest.mark.parametrize("width", [255, 256])
+    def test_oracle_reads_the_widest_window(self, width):
+        # blocks of width and 0 a's: only period 2 * width is abelian
+        assert abelian_period_oracle(alternating_runs(width, self.LONG), width, 0) is None
+        rng = np.random.default_rng(width)
+        base = (np.arange(width) < width // 2).astype(np.uint8)
+        w = rng.permuted(np.tile(base, (self.LONG // width + 1, 1)), axis=1).ravel()
+        wit = abelian_period_oracle(w, width, 0)
+        assert (wit.preperiod, wit.period) == (0, width)
+
+    @pytest.mark.parametrize("nmax", [255, 256])
+    def test_complexity_profile(self, nmax):
+        w = runs_then_random(nmax, self.LONG, nmax)
+        prof = complexity_profile(w, nmax)
+        assert prof.imbalance.tolist() == [wide_spread(w, n) for n in range(1, nmax + 1)]
+        assert prof.imbalance[-1] == nmax
+        assert prof.lengths.dtype == prof.complexity.dtype == prof.imbalance.dtype == np.int64

@@ -320,3 +320,15 @@ class TestVerdictReport:
             assert report["certainty"] == v.certainty
             assert report["reason"] == v.reason
             assert report["bounds"] == dict(v.bounds)
+
+
+class TestHorizonBound:
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            classify(parse_morphism("a->aab; b->b"), ClassifyOptions(horizon=-5))
+
+    @pytest.mark.parametrize("horizon", [0, 1])
+    def test_short_horizon_attaches_no_evidence(self, horizon):
+        v = classify(parse_morphism("a->aab; b->b"), ClassifyOptions(horizon=horizon))
+        assert v.evidence is None
+        assert dict(v.bounds)["horizon"] == horizon

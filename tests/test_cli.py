@@ -389,3 +389,22 @@ class TestResiduesAtHugeArguments:
         assert code == 0 and err == ""
         payload = json.loads(out)
         assert payload["complete"] is False and 0 < len(payload["residues"]) < 100
+
+
+class TestNegativeHorizon:
+    def test_classify_exits_1(self, capsys):
+        code, out, err = run(capsys, "classify", "a->aab; b->b", "--horizon", "-5")
+        assert (code, out, err) == (1, "", "abmorph: horizon must be >= 0\n")
+
+    def test_corpus_exits_1(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a->ab; b->ba\na->aab; b->b\n")
+        code, out, err = run(capsys, "classify", "--corpus", str(corpus), "--horizon", "-1")
+        assert (code, out, err) == (1, "", "abmorph: horizon must be >= 0\n")
+
+    @pytest.mark.parametrize("horizon", ["0", "1"])
+    def test_short_horizon_is_legal(self, capsys, horizon):
+        code, out, err = run(capsys, "classify", "a->aab; b->b", "--horizon", horizon)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["evidence"] is None and report["bounds"]["horizon"] == int(horizon)
