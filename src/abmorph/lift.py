@@ -81,8 +81,7 @@ def lift_fixed_prefix(lift: UniformLift, length: int) -> np.ndarray:
     """First `length` states of the lifted fixed point (int32 state ids)."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    arrays = [np.array(im, dtype=np.int32) for im in lift.images]
-    return _expand_prefix(arrays, 0, length)
+    return _expand_prefix(np.array(lift.images, dtype=np.int32), 0, length)
 
 
 def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:
@@ -91,18 +90,18 @@ def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:
     The lifted fixed point is its own image, so coding the images of its
     first ceil(length / k) states gives the first `length` letters. Those
     states are expanded after the letter prefix, in uint8 when the lift has
-    at most 256 states, and coded and compared _CHUNK states at a time: about
-    1 + 1/k bytes per letter."""
+    at most 256 states; each chunk of _CHUNK states is coded by one row
+    gather into a reused buffer and compared: about 1 + 1/k bytes per letter."""
     letters = fixed_point_prefix(f, length).data
-    dtype = np.uint8 if lift.size <= 256 else np.int32
-    arrays = [np.array(im, dtype=dtype) for im in lift.images]
-    states = _expand_prefix(arrays, 0, -(-length // lift.k))
-    codes = np.array([0 if c == "a" else 1 for c in lift.coding], dtype=np.uint8)
-    coded_images = codes[np.array(lift.images)]
+    table = np.array(lift.images, dtype=np.uint8 if lift.size <= 256 else np.int32)
+    states = _expand_prefix(table, 0, -(-length // lift.k))
+    coded_images = (np.array(lift.coding) == "b")[table].view(np.uint8)
+    buf = np.empty((min(states.size, _CHUNK), lift.k), dtype=np.uint8)
     for lo in range(0, states.size, _CHUNK):
+        chunk = states[lo : lo + _CHUNK]
+        coded = np.take(coded_images, chunk, axis=0, out=buf[: chunk.size], mode="clip")
         want = letters[lo * lift.k : (lo + _CHUNK) * lift.k]
-        coded = coded_images[states[lo : lo + _CHUNK]].reshape(-1)[: want.size]
-        if not np.array_equal(coded, want):
+        if not np.array_equal(coded.reshape(-1)[: want.size], want):
             return False
     return True
 

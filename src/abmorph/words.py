@@ -1,10 +1,10 @@
 """Binary words, Parikh vectors, and binary morphisms.
 
 Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b).
-A fixed-point prefix is built in place in its own buffer, with a gather of a
-few MiB per chunk on top: the tracemalloc peak is 1.2-1.3 bytes per letter at
-1e7 letters of Thue-Morse, Fibonacci and a->ab; b->bbaa, and 1.02-1.03 at 1e8
-letters (about 103 MB). Counting is exact.
+A fixed-point prefix is built in place in its own buffer by row gathers from
+a padded image table, each under _CHUNK letters: the tracemalloc peak is
+1.05-1.07 bytes per letter at 1e7 letters of Thue-Morse, Fibonacci and
+a->ab; b->bbaa, and 1.01 at 1e8 letters. Counting is exact.
 """
 
 from __future__ import annotations
@@ -45,12 +45,14 @@ class Word:
     __slots__ = ("_data",)
 
     def __init__(self, data: np.ndarray | Sequence[int]):
-        arr = np.asarray(data, dtype=np.uint8)
+        arr = np.asarray(data)
         if arr.ndim != 1:
             raise ValueError("word data must be one-dimensional")
-        if arr.size and arr.max(initial=0) > 1:
+        if arr.size and arr.dtype.kind not in "iu":
+            raise BadLetterError(f"letter codes must be integers, not {arr.dtype}")
+        if arr.size and (arr.max() > 1 or (arr.dtype.kind == "i" and arr.min() < 0)):
             raise BadLetterError("letter codes must be 0 (a) or 1 (b)")
-        arr = arr.copy()
+        arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         self._data = arr
 
@@ -66,7 +68,7 @@ class Word:
     @classmethod
     def from_str(cls, s: str) -> "Word":
         try:
-            return cls(_codes_from_str(s))
+            return cls._adopt(_codes_from_str(s))
         except UnicodeEncodeError as exc:
             raise BadLetterError(f"non-ascii symbol in word: {s!r}") from exc
 
@@ -257,72 +259,76 @@ def parse_morphism(text: str) -> BinaryMorphism:
     return BinaryMorphism(images["a"], images["b"])
 
 
-_CHUNK = 2**16  # input letters per gather in _apply_images
+_CHUNK = 2**16  # padded output letters per row gather: bounds the temporaries
 
 
-def _apply_images(
-    images: list[np.ndarray], arr: np.ndarray, out: np.ndarray
-) -> tuple[int, int]:
-    """Write images[c], over the letters c of arr, into out; return
-    (written, consumed).
-
-    Stops at the first image that does not fit whole in out, so the caller
-    sizes out to bound the work. arr is read in chunks of _CHUNK letters;
-    each chunk is one vectorized gather from the concatenated images, whose
-    indices rise by 1 inside an image and jump between images, so one
-    cumulative sum over the chunk's output builds them. The int64 temporaries
-    are bounded by the chunk, not by the word. out's dtype follows the image
-    arrays, so the same kernel serves binary words (uint8) and lifted
-    alphabets with more letters (int32)."""
+def _row_gather(images: Sequence[np.ndarray]):
+    """The kernel apply(arr, out) -> (written, consumed) writing images[c],
+    over the letters c of arr, into out; it stops at the first image that
+    does not fit whole, so the caller sizes out to bound the work. The images
+    are the rows of one padded table, and each chunk of _CHUNK // width
+    letters of arr is one row gather from it: straight into an (n, width)
+    view of out when all images have one length, else compressed into out by
+    the same gather of the padding mask. out's dtype follows the images."""
     sizes = np.array([im.size for im in images], dtype=np.int64)
-    flat = np.concatenate(images)
-    last = np.cumsum(sizes) - 1  # flat index of c[-1]
-    first = last - sizes + 1  # flat index of c[0]
-    written = consumed = 0
-    while consumed < arr.size:
-        chunk = arr[consumed : consumed + _CHUNK]
-        ends = sizes[chunk]
-        np.cumsum(ends, out=ends)
-        n = int(np.searchsorted(ends, out.size - written, side="right"))
-        if n == 0:
-            break
-        total = int(ends[n - 1])
-        jumps = first[chunk[1:n]]
-        jumps -= last[chunk[: n - 1]]
-        idx = np.ones(total, dtype=np.int64)
-        idx[0] = first[chunk[0]]
-        idx[ends[: n - 1]] = jumps
-        del ends, jumps  # so that no two chunks' arrays are alive at once
-        np.cumsum(idx, out=idx)
-        # "clip" writes straight into out; "raise" would buffer a copy
-        np.take(flat, idx, out=out[written : written + total], mode="clip")
-        del idx
-        written += total
-        consumed += n
-        if n < chunk.size:
-            break  # the next image does not fit
-    return written, consumed
+    keep = np.arange(sizes.max()) < sizes[:, None]
+    table = np.zeros(keep.shape, dtype=images[0].dtype)
+    table[keep] = np.concatenate(images)
+    width, uniform = keep.shape[1], bool(keep.all())
+    step = max(1, _CHUNK // width)
+
+    def apply(arr: np.ndarray, out: np.ndarray) -> tuple[int, int]:
+        written = consumed = 0
+        while consumed < arr.size:
+            chunk = arr[consumed : consumed + step]
+            n, room = chunk.size, out.size - written
+            if n * width > room:
+                n = int(np.searchsorted(np.cumsum(sizes[chunk]), room, "right"))
+                chunk = chunk[:n]
+            # "clip" writes straight into out; "raise" would buffer a copy
+            if uniform:
+                total = n * width
+                rows = out[written : written + total].reshape(n, width)
+                np.take(table, chunk, axis=0, out=rows, mode="clip")
+            else:
+                mask = np.take(keep, chunk, axis=0, mode="clip")
+                total = int(np.count_nonzero(mask))
+                rows = np.take(table, chunk, axis=0, mode="clip").ravel()
+                np.compress(mask.ravel(), rows, out=out[written : written + total])
+            written += total
+            consumed += n
+            if n < step:
+                break  # arr is used up, or the next image does not fit
+        return written, consumed
+
+    return apply
 
 
-def _expand_prefix(images: list[np.ndarray], start: int, length: int) -> np.ndarray:
+def _apply_images(images: list[np.ndarray], arr: np.ndarray, out: np.ndarray) -> tuple[int, int]:
+    """One call of the _row_gather kernel: (written, consumed)."""
+    return _row_gather(images)(arr, out)
+
+
+def _expand_prefix(images: Sequence[np.ndarray], start: int, length: int) -> np.ndarray:
     """First `length` >= 0 letters of the fixed point of the morphism given
     by `images`, prolongable on `start`, built in place in one buffer.
 
     Uses the telescoping factorization  s = start . x . f(x) . f^2(x) ...
     where images[start] = start . x: each round reads its block as a view
-    out[lo:total] and writes the block's image straight after it. The buffer
-    holds length + max|image| letters, so _apply_images stops each round once
-    the requested length is reached. A stationary block (f(x) = x) means the
-    tail is x^omega; it is tiled by copying the filled periodic part forward,
-    doubling each time, which keeps linear-growth morphisms at O(length).
-    The result is a view of the buffer.
+    out[lo:total] and writes the block's image straight after it, all rounds
+    by one _row_gather kernel. The buffer holds length + max|image| letters,
+    so each round stops once the requested length is reached. A stationary
+    block (f(x) = x) means the tail is x^omega, tiled by doubling copies of
+    the filled periodic part: linear growth stays O(length). The result is a
+    view of the buffer.
     """
+    apply = _row_gather(images)
     head = images[start]
     out = np.empty(length + max(im.size for im in images), dtype=head.dtype)
     out[: head.size] = head
     lo, total = 1, int(head.size)
     while total < length:
-        written, consumed = _apply_images(images, out[lo:total], out[total:])
+        written, consumed = apply(out[lo:total], out[total:])
         filled = total + written
         if consumed == written == total - lo and np.array_equal(
             out[lo:total], out[total:filled]

@@ -220,8 +220,9 @@ class TestTheta2OneInvariant:
 
 
 class TestPrefixCountWidth:
-    """Prefix counts are int32 below 2**31 letters; counts past the int16
-    range must stay exact."""
+    """Without a window bound the prefix counts are exact, in the narrowest
+    unsigned dtype above the prefix length (4 bytes for the 99000 letters
+    here); counts past the 16-bit range must stay exact."""
 
     def test_counts_past_int16(self):
         from abmorph.analysis import _prefix_counts

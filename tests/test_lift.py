@@ -175,6 +175,22 @@ class TestLiftKernel:
                 assert got.tolist() == want[:n], (f, n)
             assert lift_verify(f, lift, max(lengths))
 
+    def test_more_than_256_states_against_naive(self):
+        # 400 states need the int32 table; the lift is 200-uniform, so
+        # each gather reads _CHUNK // 200 states.
+        f, lift = lift_of("a->" + "ab" * 100 + "; b->" + "ba" * 100)
+        images = [list(im) for im in lift.images]
+        step = _CHUNK // lift.k
+        lengths = [0, 1, lift.k]
+        for m in (step - 1, step, step + 1):
+            lengths += last_round_lengths(images, m)
+        want = naive_fixed_point_codes(images, max(lengths))
+        for n in lengths:
+            got = lift_fixed_prefix(lift, n)
+            assert got.dtype.name == "int32"
+            assert got.tolist() == want[:n], n
+        assert lift_verify(f, lift, max(lengths))
+
     def test_memory_per_letter(self):
         # int32 states are 4 bytes per letter; int64 gather temporaries as
         # long as the prefix would peak near 17.

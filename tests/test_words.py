@@ -72,6 +72,24 @@ class TestWord:
         with pytest.raises(ValueError):
             w.data[0] = 1
 
+    @pytest.mark.parametrize("data", [
+        [0.5, 1.9],  # a cast first reads these as "ab"
+        np.array([257]),  # a cast first wraps this to "b"
+        [-1],  # a cast first raises OverflowError
+        np.array([0, 2], dtype=np.int8),
+        np.array([True, False]),
+        ["a"],
+    ])
+    def test_codes_checked_before_the_cast(self, data):
+        with pytest.raises(BadLetterError):
+            Word(data)
+
+    def test_integer_codes_of_any_width(self):
+        assert Word([]) == ""
+        assert Word(np.array([0, 1, 1], dtype=np.int64)) == "abb"
+        assert Word(np.array([1, 0], dtype=np.int8)) == "ba"
+        assert Word([0, 1]) == "ab"
+
 
 class TestParikh:
     def test_basic(self):
@@ -407,3 +425,80 @@ class TestInPlaceKernel:
             tracemalloc.stop()
         assert len(w) == n
         assert peak / n <= 2.5
+
+
+SKEWED = "a->a" + "b" * 300 + "a; b->b"
+
+
+def _expansion_lengths(images: list[list[int]], step: int) -> list[int]:
+    """0, 1, |f(a)| and the lengths at which the last round stops around
+    the row gather's chunk boundaries (step input letters per gather)."""
+    lengths = [0, 1, len(images[0])]
+    for m in (step - 1, step, step + 1):
+        lengths += last_round_lengths(images, m)
+    return lengths
+
+
+class TestRowGather:
+    """The padded image table against naive expansion: images of one
+    length are gathered straight into the buffer, skewed ones compressed
+    by their padding mask, _CHUNK // width input letters at a time."""
+
+    def test_skewed_images(self):
+        f = parse_morphism(SKEWED)
+        images = [_codes(str(f.image_a)), _codes(str(f.image_b))]
+        lengths = _expansion_lengths(images, _CHUNK // 302)
+        lengths += last_round_lengths(images, _CHUNK)
+        want = naive_fixed_point_codes(images, max(lengths))
+        for n in lengths:
+            assert fixed_point_prefix(f, n).data.tolist() == want[:n], n
+
+    @pytest.mark.parametrize("width", [2, 3, 16])
+    def test_equal_length_images(self, rng, width):
+        for _ in range(3):
+            ia = "a" + "".join(rng.choice("ab") for _ in range(width - 1))
+            ib = "".join(rng.choice("ab") for _ in range(width))
+            f = parse_morphism(f"a->{ia}; b->{ib}")
+            images = [_codes(ia), _codes(ib)]
+            lengths = _expansion_lengths(images, _CHUNK // width)
+            want = naive_fixed_point_codes(images, max(lengths))
+            for n in lengths:
+                assert fixed_point_prefix(f, n).data.tolist() == want[:n], (f, n)
+
+    @pytest.mark.parametrize("ia, ib", [
+        ("a" + "b" * 300 + "a", "b"),
+        ("ab", "ba"),
+        ("aab", "bba"),
+        ("abbabaabbaababba", "baababbaabbabaab"),
+    ])
+    def test_kernel_stops_at_the_first_image_that_does_not_fit(self, rng, ia, ib):
+        images = [np.array(_codes(ia), dtype=np.uint8), np.array(_codes(ib), dtype=np.uint8)]
+        step = _CHUNK // max(len(ia), len(ib))
+        arr = np.array([rng.randrange(2) for _ in range(3 * step + 5)], dtype=np.uint8)
+        want = naive_apply(ia, ib, "".join("ab"[c] for c in arr))
+        sizes = [len(ia) if c == 0 else len(ib) for c in arr]
+        rooms = [0, 1, len(ia) - 1, len(ia), sum(sizes[:step]) - 1, sum(sizes[:step]),
+                 len(want) - 1, len(want), len(want) + 4]
+        rooms += [rng.randrange(len(want)) for _ in range(5)]
+        for room in rooms:
+            out = np.full(room, 9, dtype=np.uint8)
+            written, consumed = _apply_images(images, arr, out)
+            assert written == sum(sizes[:consumed])
+            assert consumed == arr.size or written + sizes[consumed] > room
+            assert "".join("ab"[c] for c in out[:written]) == want[:written]
+            assert (out[written:] == 9).all()
+
+    def test_skewed_memory_per_letter(self):
+        # Rows padded to width 302 and gathered _CHUNK input letters at a
+        # time would hold about 40 MB of rows and mask; scaling each gather
+        # down by the width keeps them under _CHUNK letters.
+        f = parse_morphism(SKEWED)
+        n = 10**6
+        tracemalloc.start()
+        try:
+            w = fixed_point_prefix(f, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(w) == n
+        assert peak / n <= 1.5
