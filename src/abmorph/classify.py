@@ -25,7 +25,7 @@ from .matrices import (
     rank1_decompose,
     spectral_profile,
 )
-from .periodic import PeriodicityVerdict, decide_periodic
+from .periodic import PeriodicityVerdict, _check_search_bounds, decide_periodic
 from .rank1 import EventualWitness, PureVerdict, decide_pure, eventual_scan
 from .words import BinaryMorphism, fixed_point_prefix
 
@@ -226,13 +226,25 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     then a bounded scan for an eventual witness. A verdict whose reason's
     row asks for it then gets imbalance evidence."""
     opts = options or ClassifyOptions()
-    if opts.horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    _check_bounds(opts)
     verdict = _route(f, opts)
     if opts.collect_evidence and OUTCOMES[verdict.reason][2]:
         evidence = imbalance_evidence(f, opts.horizon, EVIDENCE_TARGET)
         verdict = replace(verdict, evidence=evidence)
     return verdict
+
+
+def _check_bounds(opts: ClassifyOptions) -> None:
+    """Reject a bound that no route could run with, whichever route f takes."""
+    for name, value in (
+        ("horizon", opts.horizon),
+        ("k_max", opts.eventual_k_max),
+        ("offset_budget", opts.eventual_offset_budget),
+        ("max_configurations", opts.max_configurations),
+    ):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
+    _check_search_bounds(opts.max_period, opts.max_preperiod)
 
 
 def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:

@@ -70,6 +70,15 @@ def default_search_bound(f: BinaryMorphism) -> int:
     return 4 * total * total
 
 
+def _check_search_bounds(max_period: int | None, max_preperiod: int | None) -> None:
+    """Reject given bounds that allow no candidate; None takes the default
+    search bound, which allows some."""
+    if (max_period is not None and max_period < 1) or (
+        max_preperiod is not None and max_preperiod < 0
+    ):
+        raise ValueError("bounds must allow at least one candidate")
+
+
 def decide_periodic(
     f: BinaryMorphism,
     max_period: int | None = None,
@@ -83,11 +92,10 @@ def decide_periodic(
     certified via f(u) f(w)^omega = u w^omega, which is exact, so "periodic"
     verdicts are proofs."""
     f.require_prolongable()
+    _check_search_bounds(max_period, max_preperiod)
     bound = default_search_bound(f)
     max_p = bound if max_period is None else max_period
     max_r = bound if max_preperiod is None else max_preperiod
-    if max_p < 1 or max_r < 0:
-        raise ValueError("bounds must allow at least one candidate")
     horizon = max_r + 4 * max_p
     arr = fixed_point_prefix(f, horizon).data
     # A word and its reverse share their periods, and the reverse of arr[r:]

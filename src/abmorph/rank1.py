@@ -304,6 +304,8 @@ def eventual_scan(
     Returns the first witness, or None, and the last level scanned."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    if offset_budget < 0:
+        raise ValueError("offset_budget must be >= 0")
     budget = offset_budget
     for k in range(1, k_max + 1):
         period = form.period(k)

@@ -408,3 +408,19 @@ class TestNegativeHorizon:
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["evidence"] is None and report["bounds"]["horizon"] == int(horizon)
+
+
+class TestBadBoundOnAnyRoute:
+    """classify checks every bound before it routes the morphism."""
+
+    @pytest.mark.parametrize("morphism", ["a->ab; b->ba", "a->ab; b->a"],
+                             ids=["pure", "spectral"])
+    def test_negative_kmax(self, capsys, morphism):
+        code, out, err = run(capsys, "classify", morphism, "--kmax", "-2")
+        assert (code, out, err) == (1, "", "abmorph: k_max must be >= 0\n")
+
+    def test_corpus_without_rank1_lines(self, capsys, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a->ab; b->a\na->aab; b->ba\n")
+        code, out, err = run(capsys, "classify", "--corpus", str(corpus), "--kmax", "-2")
+        assert (code, out, err) == (1, "", "abmorph: k_max must be >= 0\n")

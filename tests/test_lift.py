@@ -3,6 +3,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from abmorph import (
@@ -21,6 +22,7 @@ from abmorph import (
     parse_morphism,
     rank1_decompose,
 )
+from abmorph.lift import _power_rows
 from abmorph.words import _CHUNK
 from conftest import random_rank1_morphism
 from oracles import last_round_lengths, naive_fixed_point_codes
@@ -270,3 +272,85 @@ class TestVerifyChunks:
         first = lift_fixed_prefix(lift, 10**4).tolist().index(399)
         assert lift_verify(f, bad, first)
         assert not lift_verify(f, bad, first + 1)
+
+
+def power_width(lift):
+    """k^j for the largest j >= 1 with size * k^j <= _CHUNK, else k."""
+    width = lift.k
+    while lift.size * width * lift.k <= _CHUNK:
+        width *= lift.k
+    return width
+
+
+# Thue-Morse (4 states, 2-uniform), a->ab; b->bbaa (6, 3), a 10-state
+# 5-uniform lift, and 400 states, 200-uniform: 400 * 200 > _CHUNK, so the
+# table budget keeps j = 1.
+POWER_LIFTS = ["a->ab; b->ba", "a->ab; b->bbaa", "a->aabbb; b->bbaab",
+               "a->" + "ab" * 100 + "; b->" + "ba" * 100]
+
+
+@pytest.fixture(scope="module", params=POWER_LIFTS, ids=lambda t: t[:16])
+def power_case(request):
+    """(f, lift, k^j, lengths, naive states): the lengths sit at k^j and at
+    the first chunk boundary of lift_verify, (_CHUNK // k^j) * k^j."""
+    f, lift = lift_of(request.param)
+    width = power_width(lift)
+    edge = (_CHUNK // width) * width
+    lengths = [0, 1] + [n + d for n in (width, edge) for d in (-1, 0, 1)]
+    want = naive_fixed_point_codes([list(im) for im in lift.images], max(lengths))
+    return f, lift, width, lengths, want
+
+
+class TestPowerRows:
+    """lift_fixed_prefix and lift_verify read k^j letters per state."""
+
+    def test_table_width(self, power_case):
+        _, lift, width, _, _ = power_case
+        _, rows = _power_rows(lift, np.arange(lift.size, dtype=np.int32), 1)
+        assert rows.shape == (lift.size, width)
+        if lift.size == 400:
+            assert width == lift.k == 200
+
+    def test_fixed_prefix_against_naive(self, power_case):
+        _, lift, _, lengths, want = power_case
+        for n in lengths:
+            got = lift_fixed_prefix(lift, n)
+            assert got.dtype.name == "int32"
+            assert got.tolist() == want[:n], n
+
+    def test_verify_against_naive(self, power_case):
+        f, lift, _, lengths, want = power_case
+        coded = "".join(lift.coding[s] for s in want)
+        assert str(fixed_point_prefix(f, len(coded))) == coded
+        for n in lengths:
+            assert lift_verify(f, lift, n), n
+
+    def test_flipped_coding_fails_at_the_first_wrong_letter(self, power_case):
+        # Each flipped state first shows at letter p, inside F^j row p // k^j;
+        # the check must pass on p letters and fail from p + 1 on, also when
+        # it reads several rows and chunks.
+        f, lift, width, lengths, want = power_case
+        for s in sorted({0, 1, lift.size // 2, lift.size - 1}):
+            coding = list(lift.coding)
+            coding[s] = "b" if coding[s] == "a" else "a"
+            bad = UniformLift(lift.image_length_a, lift.image_length_b,
+                              lift.k, lift.images, tuple(coding))
+            p = want.index(s)
+            assert lift_verify(f, bad, p), s
+            for n in (p + 1, width + p + 1, max(lengths)):
+                assert not lift_verify(f, bad, n), (s, n)
+
+    @pytest.mark.parametrize("text", ["a->ab; b->ba", "a->ab; b->bbaa"])
+    def test_verify_memory_at_scale(self, text):
+        # The letter prefix peaks near 1.05 bytes per letter; the coded F^j
+        # rows, the states and the buffer add under _CHUNK bytes each.
+        f, lift = lift_of(text)
+        n = 10**7
+        tracemalloc.start()
+        try:
+            ok = lift_verify(f, lift, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak / n <= 1.1

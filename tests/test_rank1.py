@@ -263,6 +263,14 @@ class TestEventualScan:
             eventual_scan(f, form_of(f), -1, 10**6)
 
 
+class TestEventualScanBudget:
+    def test_negative_budget_rejected(self):
+        f = parse_morphism("a->ab; b->bbaa")
+        with pytest.raises(ValueError, match="offset_budget must be >= 0"):
+            eventual_scan(f, form_of(f), 8, -5)
+        assert eventual_scan(f, form_of(f), 8, 0) == (None, 0)
+
+
 class TestBlockLength:
     def test_counts_cells_of_width_block_unit(self):
         f = parse_morphism("a->ab; b->bbaa")
