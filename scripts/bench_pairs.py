@@ -6,9 +6,9 @@ Run from the root of a checkout. The parent side is the tree of --base
 (default HEAD; HEAD~1 once the change is committed), exported with `git
 archive` into a temporary directory, so the repository gains no worktree; the
 change side is the working tree, uncommitted edits included. Both sides run
-their own unchanged bench/run.py with the same --seconds (default: the
-run_seconds of BENCHMARK.json). Pair i runs the parent first when i is even
-and the change first when it is odd.
+their own unchanged bench/run.py for the run_seconds of BENCHMARK.json, which
+the output records once. Pair i runs the parent first when i is even and the
+change first when it is odd.
 
 The output keeps every run's end-to-end metrics, report_sha256, failed_frac
 and pass count, and one summary row per seed, workload and metric: each
@@ -44,7 +44,7 @@ def export_tree(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """One untraced bench/run.py run in `tree`: its metrics and details."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -106,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workload", action="append", choices=[w["name"] for w in spec["workloads"]],
                     help="repeatable; default: every workload of BENCHMARK.json")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"])
     ap.add_argument("--base", default="HEAD", help="the parent commit")
     args = ap.parse_args(argv)
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
@@ -114,6 +113,7 @@ def main(argv: list[str] | None = None) -> int:
 
     out_path = ROOT / f"BENCH_{args.pr}.json"
     report = json.loads(out_path.read_text()) if out_path.exists() else {"runs": []}
+    report["run_seconds"] = spec["run_seconds"]
     ok = True
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp)
@@ -125,11 +125,11 @@ def main(argv: list[str] | None = None) -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for first, side in enumerate(order):
-                    run = run_bench(trees[side], workload, args.seed, args.seconds)
+                    run = run_bench(trees[side], workload, args.seed, spec["run_seconds"])
                     ok &= run["correct"]
                     report["machine"] = run.pop("machine")
                     report["runs"].append({"seed": args.seed, "workload": workload, "pair": pair,
-                                           "side": side, "first": first == 0, "seconds": args.seconds, **run})
+                                           "side": side, "first": first == 0, **run})
                     print(f"{workload} seed={args.seed} pair={pair} {side}: "
                           + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()), flush=True)
                     out_path.write_text(json.dumps({**report, "summary": summarize(report["runs"], better)},

@@ -114,6 +114,19 @@ class ClassifyOptions:
     max_configurations: int = 10**6
     collect_evidence: bool = True
 
+    def __post_init__(self) -> None:
+        # checked here, not on the route that uses a bound, so a bad bound is
+        # rejected whatever morphism (or empty corpus) the options meet
+        for name, value in (
+            ("horizon", self.horizon),
+            ("k_max", self.eventual_k_max),
+            ("offset_budget", self.eventual_offset_budget),
+            ("max_configurations", self.max_configurations),
+        ):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
+        _check_search_bounds(self.max_period, self.max_preperiod)
+
 
 @dataclass(frozen=True)
 class ImbalanceEvidence:
@@ -226,25 +239,11 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     then a bounded scan for an eventual witness. A verdict whose reason's
     row asks for it then gets imbalance evidence."""
     opts = options or ClassifyOptions()
-    _check_bounds(opts)
     verdict = _route(f, opts)
     if opts.collect_evidence and OUTCOMES[verdict.reason][2]:
         evidence = imbalance_evidence(f, opts.horizon, EVIDENCE_TARGET)
         verdict = replace(verdict, evidence=evidence)
     return verdict
-
-
-def _check_bounds(opts: ClassifyOptions) -> None:
-    """Reject a bound that no route could run with, whichever route f takes."""
-    for name, value in (
-        ("horizon", opts.horizon),
-        ("k_max", opts.eventual_k_max),
-        ("offset_budget", opts.eventual_offset_budget),
-        ("max_configurations", opts.max_configurations),
-    ):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0")
-    _check_search_bounds(opts.max_period, opts.max_preperiod)
 
 
 def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:

@@ -103,10 +103,7 @@ def lift_fixed_prefix(lift: UniformLift, length: int) -> np.ndarray:
     if length < 0:
         raise ValueError("length must be >= 0")
     states, rows = _power_rows(lift, np.arange(lift.size, dtype=np.int32), length)
-    out = np.empty((states.size, rows.shape[1]), dtype=np.int32)
-    # "clip" writes straight into out; "raise" would buffer a copy
-    np.take(rows, states, axis=0, out=out, mode="clip")
-    return out.reshape(-1)[:length]
+    return rows[states].reshape(-1)[:length]
 
 
 def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:

@@ -334,26 +334,27 @@ class TestHorizonBound:
         assert dict(v.bounds)["horizon"] == horizon
 
 
-class TestBoundsCheckedBeforeRouting:
-    """A bad bound is rejected on every route, not only on the one using it."""
+class TestBoundsCheckedOnConstruction:
+    """ClassifyOptions rejects a bad bound when it is built, so no route and
+    no input can accept it."""
+
+    @pytest.mark.parametrize("bounds, message", [
+        (dict(horizon=-5), "horizon must be >= 0"),
+        (dict(eventual_k_max=-2), "k_max must be >= 0"),
+        (dict(eventual_offset_budget=-5), "offset_budget must be >= 0"),
+        (dict(max_configurations=-1), "max_configurations must be >= 0"),
+        (dict(max_period=0), "bounds must allow at least one candidate"),
+        (dict(max_preperiod=-1), "bounds must allow at least one candidate"),
+    ], ids=["horizon", "k_max", "offset_budget", "max_configurations", "max_period",
+            "max_preperiod"])
+    def test_rejected(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            ClassifyOptions(**bounds)
 
     # one morphism per route: non-primitive, spectral (Fibonacci), rank-1 pure
     # (Thue-Morse) and rank-1 not pure
-    ROUTES = ["a->aab; b->b", "a->ab; b->a", "a->ab; b->ba", "a->ab; b->bbaa"]
-
-    @pytest.mark.parametrize("text", ROUTES)
-    @pytest.mark.parametrize("opts, message", [
-        (ClassifyOptions(eventual_k_max=-2), "k_max must be >= 0"),
-        (ClassifyOptions(eventual_offset_budget=-5), "offset_budget must be >= 0"),
-        (ClassifyOptions(max_configurations=-1), "max_configurations must be >= 0"),
-        (ClassifyOptions(max_period=0), "bounds must allow at least one candidate"),
-        (ClassifyOptions(max_preperiod=-1), "bounds must allow at least one candidate"),
-    ], ids=["k_max", "offset_budget", "max_configurations", "max_period", "max_preperiod"])
-    def test_rejected_on_every_route(self, text, opts, message):
-        with pytest.raises(ValueError, match=message):
-            classify(parse_morphism(text), opts)
-
-    @pytest.mark.parametrize("text", ROUTES)
+    @pytest.mark.parametrize("text", ["a->aab; b->b", "a->ab; b->a", "a->ab; b->ba",
+                                      "a->ab; b->bbaa"])
     def test_zero_bounds_are_legal(self, text):
         opts = ClassifyOptions(eventual_k_max=0, eventual_offset_budget=0,
                                max_configurations=0, max_preperiod=0, max_period=1)

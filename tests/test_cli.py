@@ -411,7 +411,7 @@ class TestNegativeHorizon:
 
 
 class TestBadBoundOnAnyRoute:
-    """classify checks every bound before it routes the morphism."""
+    """classify rejects a bad bound before it routes or reads any morphism."""
 
     @pytest.mark.parametrize("morphism", ["a->ab; b->ba", "a->ab; b->a"],
                              ids=["pure", "spectral"])
@@ -419,8 +419,10 @@ class TestBadBoundOnAnyRoute:
         code, out, err = run(capsys, "classify", morphism, "--kmax", "-2")
         assert (code, out, err) == (1, "", "abmorph: k_max must be >= 0\n")
 
-    def test_corpus_without_rank1_lines(self, capsys, tmp_path):
+    @pytest.mark.parametrize("lines", ["a->ab; b->a\na->aab; b->ba\n", "# no morphism\n\n"],
+                             ids=["no_rank1_lines", "no_morphism_lines"])
+    def test_corpus(self, capsys, tmp_path, lines):
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("a->ab; b->a\na->aab; b->ba\n")
+        corpus.write_text(lines)
         code, out, err = run(capsys, "classify", "--corpus", str(corpus), "--kmax", "-2")
         assert (code, out, err) == (1, "", "abmorph: k_max must be >= 0\n")
