@@ -8,239 +8,25 @@ numpy byte arrays, one byte per letter, built in place: 1e8 letters peak at
 about 101 MB.
 """
 
-from .analysis import (
-    AbelianPeriodWitness,
-    ComplexityProfile,
-    abelian_period_oracle,
-    complexity_profile,
-    heights_to_csv,
-    imbalance_at,
-    lattice_path_heights,
-    letters_at_progression,
-    theta2_one_invariant_check,
-    validate_abelian_period,
-)
-from .classify import (
-    ANSWER_ABELIAN_PERIODIC,
-    ANSWER_NOT_ABELIAN_PERIODIC,
-    ANSWER_PURE_ABELIAN_PERIODIC,
-    ANSWER_UNKNOWN,
-    CERTAINTY_BOUNDED_SEARCH,
-    CERTAINTY_PROVED,
-    REASON_CHUNKS_EQUIVALENT,
-    REASON_EVENTUAL_WITNESS,
-    REASON_GT_ONE_UNBALANCED,
-    REASON_IRRATIONAL_FREQUENCIES,
-    REASON_MINUS_ONE,
-    REASON_NONPRIMITIVE_NO_PERIOD,
-    REASON_NONPRIMITIVE_PERIODIC,
-    REASON_ONE_FORM_FAILS,
-    REASON_PURE_REFUTED_OPEN,
-    REASON_RESOURCE_EXHAUSTED,
-    REASON_SPECIAL_FORM,
-    VERDICT_REPORT_SCHEMA,
-    ClassifyOptions,
-    ImbalanceEvidence,
-    Verdict,
-    classify,
-    imbalance_evidence,
-    special_form_exponents,
-    verdict_report,
-)
-from .errors import (
-    AbmorphError,
-    BadLetterError,
-    DegenerateTraceError,
-    EmptySelectionError,
-    ErasingImageError,
-    HorizonTooShortError,
-    MorphismSyntaxError,
-    NotCoprimeError,
-    NotPrimitiveError,
-    NotProlongableError,
-    NotRankOneError,
-    OutOfRangeError,
-    WrongSpectralCaseError,
-    ZeroEntryError,
-)
-from .lift import (
-    UniformLift,
-    build_lift,
-    dfao_dot,
-    dfao_eval,
-    dfao_table,
-    is_bijective,
-    lift_fixed_prefix,
-    lift_verify,
-)
-from .matrices import (
-    ABS_EQ_ONE,
-    ABS_EQ_ZERO,
-    ABS_GT_ONE,
-    ABS_IN_OPEN_UNIT_INTERVAL,
-    THETA2_INTEGER,
-    THETA2_IRRATIONAL,
-    THETA2_ZERO,
-    FrequencyReport,
-    MorphismMatrix,
-    Rank1Form,
-    SpectralProfile,
-    letter_frequencies,
-    matrix_of,
-    rank1_decompose,
-    spectral_profile,
-)
-from .periodic import (
-    PeriodicityVerdict,
-    decide_periodic,
-    default_search_bound,
-    eq_eventually_periodic,
-    periodic_prefix,
-)
-from .rank1 import (
-    CutConfiguration,
-    CutDescriptor,
-    EventualConditions,
-    EventualWitness,
-    PureVerdict,
-    block_length,
-    block_position_residues,
-    check_pure_at,
-    configuration_of,
-    decide_pure,
-    eventual_check_at,
-    eventual_conditions_at,
-    eventual_scan,
-    prefix_parikh,
-)
-from .words import (
-    BinaryMorphism,
-    ConjugationResult,
-    ParikhVector,
-    Word,
-    compose,
-    conjugate_normalize,
-    fixed_point_prefix,
-    parikh,
-    parse_morphism,
-    power_lengths,
-    primitive_root,
-    square,
-)
+# The star import below rebinds `classify` to the function, hence the alias.
+from . import analysis, classify as _classify, errors, lift, matrices, periodic, rank1, words
+from .analysis import *
+from .classify import *
+from .errors import *
+from .lift import *
+from .matrices import *
+from .periodic import *
+from .rank1 import *
+from .words import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # words
-    "Word",
-    "ParikhVector",
-    "BinaryMorphism",
-    "ConjugationResult",
-    "parikh",
-    "parse_morphism",
-    "compose",
-    "square",
-    "fixed_point_prefix",
-    "power_lengths",
-    "primitive_root",
-    "conjugate_normalize",
-    # matrices
-    "MorphismMatrix",
-    "SpectralProfile",
-    "FrequencyReport",
-    "Rank1Form",
-    "matrix_of",
-    "spectral_profile",
-    "letter_frequencies",
-    "rank1_decompose",
-    "THETA2_ZERO",
-    "THETA2_INTEGER",
-    "THETA2_IRRATIONAL",
-    "ABS_EQ_ZERO",
-    "ABS_IN_OPEN_UNIT_INTERVAL",
-    "ABS_EQ_ONE",
-    "ABS_GT_ONE",
-    # analysis
-    "AbelianPeriodWitness",
-    "ComplexityProfile",
-    "abelian_period_oracle",
-    "validate_abelian_period",
-    "complexity_profile",
-    "imbalance_at",
-    "lattice_path_heights",
-    "heights_to_csv",
-    "letters_at_progression",
-    "theta2_one_invariant_check",
-    # rank1
-    "CutDescriptor",
-    "CutConfiguration",
-    "PureVerdict",
-    "EventualConditions",
-    "EventualWitness",
-    "prefix_parikh",
-    "block_length",
-    "configuration_of",
-    "check_pure_at",
-    "decide_pure",
-    "eventual_conditions_at",
-    "eventual_check_at",
-    "eventual_scan",
-    "block_position_residues",
-    # lift
-    "UniformLift",
-    "build_lift",
-    "lift_fixed_prefix",
-    "lift_verify",
-    "is_bijective",
-    "dfao_eval",
-    "dfao_table",
-    "dfao_dot",
-    # periodic
-    "PeriodicityVerdict",
-    "periodic_prefix",
-    "eq_eventually_periodic",
-    "default_search_bound",
-    "decide_periodic",
-    # classify
-    "Verdict",
-    "ClassifyOptions",
-    "ImbalanceEvidence",
-    "classify",
-    "special_form_exponents",
-    "imbalance_evidence",
-    "verdict_report",
-    "VERDICT_REPORT_SCHEMA",
-    "ANSWER_ABELIAN_PERIODIC",
-    "ANSWER_PURE_ABELIAN_PERIODIC",
-    "ANSWER_NOT_ABELIAN_PERIODIC",
-    "ANSWER_UNKNOWN",
-    "CERTAINTY_PROVED",
-    "CERTAINTY_BOUNDED_SEARCH",
-    "REASON_SPECIAL_FORM",
-    "REASON_CHUNKS_EQUIVALENT",
-    "REASON_EVENTUAL_WITNESS",
-    "REASON_GT_ONE_UNBALANCED",
-    "REASON_IRRATIONAL_FREQUENCIES",
-    "REASON_ONE_FORM_FAILS",
-    "REASON_MINUS_ONE",
-    "REASON_NONPRIMITIVE_PERIODIC",
-    "REASON_NONPRIMITIVE_NO_PERIOD",
-    "REASON_PURE_REFUTED_OPEN",
-    "REASON_RESOURCE_EXHAUSTED",
-    # errors
-    "AbmorphError",
-    "MorphismSyntaxError",
-    "BadLetterError",
-    "ErasingImageError",
-    "NotProlongableError",
-    "NotPrimitiveError",
-    "NotRankOneError",
-    "ZeroEntryError",
-    "HorizonTooShortError",
-    "EmptySelectionError",
-    "WrongSpectralCaseError",
-    "OutOfRangeError",
-    "NotCoprimeError",
-    "DegenerateTraceError",
-]
+__all__ = ["__version__"]
+__all__ += words.__all__
+__all__ += matrices.__all__
+__all__ += analysis.__all__
+__all__ += rank1.__all__
+__all__ += lift.__all__
+__all__ += periodic.__all__
+__all__ += _classify.__all__
+__all__ += errors.__all__

@@ -20,6 +20,19 @@ from .errors import (
 from .matrices import THETA2_INTEGER, matrix_of, spectral_profile
 from .words import BinaryMorphism, Word, parikh
 
+__all__ = [
+    "AbelianPeriodWitness",
+    "ComplexityProfile",
+    "abelian_period_oracle",
+    "validate_abelian_period",
+    "complexity_profile",
+    "imbalance_at",
+    "lattice_path_heights",
+    "heights_to_csv",
+    "letters_at_progression",
+    "theta2_one_invariant_check",
+]
+
 
 def _as_array(source) -> np.ndarray:
     """Accept Word, str, or any int sequence; return a 1-d integer array."""

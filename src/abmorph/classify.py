@@ -14,8 +14,11 @@ from functools import partial
 from .analysis import _prefix_counts, _window_spread
 from .matrices import (
     ABS_EQ_ONE,
+    ABS_EQ_ZERO,
     ABS_GT_ONE,
     ABS_IN_OPEN_UNIT_INTERVAL,
+    THETA2_INTEGER,
+    THETA2_IRRATIONAL,
     THETA2_ZERO,
     FrequencyReport,
     Rank1Form,
@@ -28,6 +31,34 @@ from .matrices import (
 from .periodic import PeriodicityVerdict, _check_search_bounds, decide_periodic
 from .rank1 import EventualWitness, PureVerdict, decide_pure, eventual_scan
 from .words import BinaryMorphism, fixed_point_prefix
+
+__all__ = [
+    "Verdict",
+    "ClassifyOptions",
+    "ImbalanceEvidence",
+    "classify",
+    "special_form_exponents",
+    "imbalance_evidence",
+    "verdict_report",
+    "VERDICT_REPORT_SCHEMA",
+    "ANSWER_ABELIAN_PERIODIC",
+    "ANSWER_PURE_ABELIAN_PERIODIC",
+    "ANSWER_NOT_ABELIAN_PERIODIC",
+    "ANSWER_UNKNOWN",
+    "CERTAINTY_PROVED",
+    "CERTAINTY_BOUNDED_SEARCH",
+    "REASON_SPECIAL_FORM",
+    "REASON_CHUNKS_EQUIVALENT",
+    "REASON_EVENTUAL_WITNESS",
+    "REASON_GT_ONE_UNBALANCED",
+    "REASON_IRRATIONAL_FREQUENCIES",
+    "REASON_ONE_FORM_FAILS",
+    "REASON_MINUS_ONE",
+    "REASON_NONPRIMITIVE_PERIODIC",
+    "REASON_NONPRIMITIVE_NO_PERIOD",
+    "REASON_PURE_REFUTED_OPEN",
+    "REASON_RESOURCE_EXHAUSTED",
+]
 
 ANSWER_ABELIAN_PERIODIC = "AbelianPeriodic"
 ANSWER_PURE_ABELIAN_PERIODIC = "PureAbelianPeriodic"
@@ -49,13 +80,6 @@ REASON_NONPRIMITIVE_NO_PERIOD = "NonPrimitive_NoPeriodFound"
 REASON_PURE_REFUTED_OPEN = "Rank1_PureRefuted_EventualOpen"
 REASON_RESOURCE_EXHAUSTED = "ResourceExhausted"
 
-ANSWERS = (
-    ANSWER_ABELIAN_PERIODIC,
-    ANSWER_PURE_ABELIAN_PERIODIC,
-    ANSWER_NOT_ABELIAN_PERIODIC,
-    ANSWER_UNKNOWN,
-)
-CERTAINTIES = (CERTAINTY_PROVED, CERTAINTY_BOUNDED_SEARCH)
 # The whole outcome policy, one row per reason: the answer and certainty the
 # reason implies, and whether the verdict carries imbalance evidence. The
 # router in classify picks only the reason and its witnesses.
@@ -77,6 +101,8 @@ OUTCOMES = {
     REASON_RESOURCE_EXHAUSTED: (ANSWER_UNKNOWN, CERTAINTY_BOUNDED_SEARCH, False),
 }
 REASONS = tuple(OUTCOMES)
+ANSWERS = tuple(dict.fromkeys(answer for answer, _, _ in OUTCOMES.values()))
+CERTAINTIES = tuple(dict.fromkeys(certainty for _, certainty, _ in OUTCOMES.values()))
 
 # imbalance a window scan tries to reach before it stops early
 EVIDENCE_TARGET = 4
@@ -396,10 +422,10 @@ VERDICT_REPORT_SCHEMA: dict = {
             trace={"type": "integer"},
             determinant={"type": "integer"},
             discriminant={"type": "integer", "minimum": 0},
-            theta2_kind={"enum": ["zero", "integer_nonzero", "irrational_quadratic"]},
+            theta2_kind={"enum": [THETA2_ZERO, THETA2_INTEGER, THETA2_IRRATIONAL]},
             theta2_value=_nullable({"type": "integer"}),
             theta2_abs_class={
-                "enum": ["eq_zero", "in_open_unit_interval", "eq_one", "gt_one"]
+                "enum": [ABS_EQ_ZERO, ABS_IN_OPEN_UNIT_INTERVAL, ABS_EQ_ONE, ABS_GT_ONE]
             },
             primitive={"type": "boolean"},
         ),

@@ -1,5 +1,22 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "AbmorphError",
+    "MorphismSyntaxError",
+    "BadLetterError",
+    "ErasingImageError",
+    "NotProlongableError",
+    "NotPrimitiveError",
+    "NotRankOneError",
+    "ZeroEntryError",
+    "HorizonTooShortError",
+    "EmptySelectionError",
+    "WrongSpectralCaseError",
+    "OutOfRangeError",
+    "NotCoprimeError",
+    "DegenerateTraceError",
+]
+
 
 class AbmorphError(Exception):
     """Base class for all errors raised by this package."""

@@ -19,6 +19,17 @@ from .errors import DegenerateTraceError, OutOfRangeError
 from .matrices import Rank1Form
 from .words import _CHUNK, BinaryMorphism, _expand_prefix, fixed_point_prefix
 
+__all__ = [
+    "UniformLift",
+    "build_lift",
+    "lift_fixed_prefix",
+    "lift_verify",
+    "is_bijective",
+    "dfao_eval",
+    "dfao_table",
+    "dfao_dot",
+]
+
 
 @dataclass(frozen=True)
 class UniformLift:

@@ -15,6 +15,24 @@ from fractions import Fraction
 from .errors import NotPrimitiveError, NotRankOneError, ZeroEntryError
 from .words import BinaryMorphism, ParikhVector, parikh
 
+__all__ = [
+    "MorphismMatrix",
+    "SpectralProfile",
+    "FrequencyReport",
+    "Rank1Form",
+    "matrix_of",
+    "spectral_profile",
+    "letter_frequencies",
+    "rank1_decompose",
+    "THETA2_ZERO",
+    "THETA2_INTEGER",
+    "THETA2_IRRATIONAL",
+    "ABS_EQ_ZERO",
+    "ABS_IN_OPEN_UNIT_INTERVAL",
+    "ABS_EQ_ONE",
+    "ABS_GT_ONE",
+]
+
 THETA2_ZERO = "zero"
 THETA2_INTEGER = "integer_nonzero"
 THETA2_IRRATIONAL = "irrational_quadratic"

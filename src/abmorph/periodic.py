@@ -18,11 +18,21 @@ import numpy as np
 
 from .words import BinaryMorphism, Word, border_table, fixed_point_prefix
 
+__all__ = [
+    "PeriodicityVerdict",
+    "periodic_prefix",
+    "eq_eventually_periodic",
+    "default_search_bound",
+    "decide_periodic",
+]
+
 
 def periodic_prefix(preperiod: Word, period: Word, length: int) -> Word:
     """First `length` letters of u w^omega."""
     if len(period) == 0:
         raise ValueError("period word must be nonempty")
+    if length < 0:
+        raise ValueError("length must be >= 0")
     if length <= len(preperiod):
         return preperiod[:length]
     tail = length - len(preperiod)

@@ -29,6 +29,23 @@ from .lift import UniformLift, build_lift, lift_fixed_prefix
 from .matrices import Rank1Form, matrix_of, rank1_decompose
 from .words import BinaryMorphism, ParikhVector, parikh
 
+__all__ = [
+    "CutDescriptor",
+    "CutConfiguration",
+    "PureVerdict",
+    "EventualConditions",
+    "EventualWitness",
+    "prefix_parikh",
+    "block_length",
+    "configuration_of",
+    "check_pure_at",
+    "decide_pure",
+    "eventual_conditions_at",
+    "eventual_check_at",
+    "eventual_scan",
+    "block_position_residues",
+]
+
 
 def block_length(f: BinaryMorphism, form: Rank1Form, u) -> int:
     """|f(u)| / (A+B): the number of length-(A+B) cells the image of u spans."""

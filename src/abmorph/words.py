@@ -24,6 +24,21 @@ from .errors import (
     NotProlongableError,
 )
 
+__all__ = [
+    "Word",
+    "ParikhVector",
+    "BinaryMorphism",
+    "ConjugationResult",
+    "parikh",
+    "parse_morphism",
+    "compose",
+    "square",
+    "fixed_point_prefix",
+    "power_lengths",
+    "primitive_root",
+    "conjugate_normalize",
+]
+
 A = 0
 B = 1
 
@@ -98,7 +113,7 @@ class Word:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, str):
-            other = Word.from_str(other)
+            return len(other) == self._data.size and str(self) == other
         if not isinstance(other, Word):
             return NotImplemented
         return self._data.size == other._data.size and bool(

@@ -161,6 +161,16 @@ class TestLetterFrequencies:
         assert rep.coef_a == Fraction(1, 4)
         assert abs(rep.freq_a_float() - math.sqrt(2) / 2) < 1e-12
 
+    @pytest.mark.parametrize("text, rational_b, coef_b, freq_b", [
+        ("a->ab; b->a", Fraction(3, 2), Fraction(-1, 2), (3 - math.sqrt(5)) / 2),
+        ("a->aabb; b->abbb", Fraction(2, 3), Fraction(0), 2 / 3),
+    ])
+    def test_freq_b_float(self, text, rational_b, coef_b, freq_b):
+        rep = letter_frequencies(parse_morphism(text))
+        assert (rep.rational_b, rep.coef_b) == (rational_b, coef_b)
+        assert abs(rep.freq_b_float() - freq_b) < 1e-12
+        assert abs(rep.freq_a_float() + rep.freq_b_float() - 1) < 1e-12
+
     def test_sum_to_one_exactly(self, rng):
         checked = 0
         for _ in range(300):

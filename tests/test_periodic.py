@@ -47,6 +47,10 @@ class TestPeriodicPrefix:
         assert periodic_prefix(W("aab"), W("b"), 2) == "aa"
         assert periodic_prefix(W("a"), W("b"), 0) == ""
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="length must be >= 0"):
+            periodic_prefix(W("aab"), W("ab"), -1)
+
     def test_matches_naive(self, rng):
         for _ in range(100):
             u = "".join(rng.choice("ab") for _ in range(rng.randint(0, 6)))

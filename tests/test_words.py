@@ -43,6 +43,21 @@ class TestWord:
         assert Word.from_str("ab") != "ba"
         assert Word.empty() == ""
 
+    def test_equality_with_other_text_is_false(self):
+        w = Word.from_str("ab")
+        assert w != "abc"
+        assert w != "xy"
+        assert w != "é"
+        assert not Word.empty() == "c"
+        assert w in ["xy", "ab"]
+        assert w not in ["xy", "abc"]
+
+    def test_repr_truncates_past_40_letters(self):
+        assert repr(Word.from_str("ab" * 20)) == f"Word({'ab' * 20!r})"
+        long = "ab" * 20 + "a"
+        assert repr(Word.from_str(long)) == f"Word({long[:37] + '...'!r})"
+        assert repr(Word.empty()) == "Word('')"
+
     def test_indexing_and_slicing(self):
         w = Word.from_str("abba")
         assert w[0] == "a"
@@ -152,6 +167,18 @@ class TestBinaryMorphism:
         g = BinaryMorphism("ab", "ba")
         assert f == g and hash(f) == hash(g)
         assert f != parse_morphism("a->ab; b->ab")
+
+    def test_repr(self):
+        f = parse_morphism("a->ab; b->bbaa")
+        assert repr(f) == "BinaryMorphism('a->ab; b->bbaa')"
+
+    def test_immutable(self):
+        f = parse_morphism("a->ab; b->ba")
+        with pytest.raises(AttributeError):
+            f.image_a = Word.from_str("b")
+        with pytest.raises(AttributeError):
+            f.other = 1
+        assert f.image_a == "ab"
 
 
 class TestParseMorphism:
