@@ -36,10 +36,8 @@ __all__ = [
 
 def _as_array(source) -> np.ndarray:
     """Accept Word, str, or any int sequence; return a 1-d integer array."""
-    if isinstance(source, Word):
-        return source.data
-    if isinstance(source, str):
-        return Word.from_str(source).data
+    if isinstance(source, (Word, str)):
+        return Word.of(source).data
     arr = np.asarray(source)
     if arr.ndim != 1:
         raise ValueError("prefix must be one-dimensional")
@@ -264,8 +262,7 @@ def theta2_one_invariant_check(f: BinaryMorphism, u: Word | str) -> bool:
         )
     m = matrix_of(f)
     a_param, b_param = m.m11 - 1, m.m21
-    if isinstance(u, str):
-        u = Word.from_str(u)
+    u = Word.of(u)
     pu = parikh(u)
     pf = parikh(f.apply(u))
     return (

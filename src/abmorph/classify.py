@@ -113,14 +113,10 @@ def special_form_exponents(f: BinaryMorphism) -> tuple[int, int] | None:
 
     Both images must alternate letters, start with their own letter, and have
     odd length. Fixed points of this family equal (ab)^omega."""
-    ia, ib = f.image_a.data, f.image_b.data
-    if ia.size % 2 == 0 or ib.size % 2 == 0:
-        return None
-    if (ia[0::2] != 0).any() or (ia[1::2] != 1).any():
-        return None
-    if (ib[0::2] != 1).any() or (ib[1::2] != 0).any():
-        return None
-    return ((ia.size - 1) // 2, (ib.size - 1) // 2)
+    k, m = (len(f.image_a) - 1) // 2, (len(f.image_b) - 1) // 2
+    if f.image_a == "a" + "ba" * k and f.image_b == "b" + "ab" * m:
+        return (k, m)
+    return None
 
 
 @dataclass(frozen=True)

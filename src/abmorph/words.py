@@ -42,7 +42,7 @@ __all__ = [
 A = 0
 B = 1
 
-_CHARS = np.frombuffer(b"ab", dtype=np.uint8)
+_LETTERS = bytes.maketrans(b"\x00\x01", b"ab")  # letter code -> ascii letter
 
 
 def _codes_from_str(s: str) -> np.ndarray:
@@ -88,6 +88,15 @@ class Word:
             raise BadLetterError(f"non-ascii symbol in word: {s!r}") from exc
 
     @classmethod
+    def of(cls, u: "Word | str") -> "Word":
+        """u itself when it is a Word, spelled from its letters when a str."""
+        if isinstance(u, Word):
+            return u
+        if isinstance(u, str):
+            return cls.from_str(u)
+        raise TypeError(f"expected a Word or a str, not {type(u).__name__}")
+
+    @classmethod
     def empty(cls) -> "Word":
         return cls(np.empty(0, dtype=np.uint8))
 
@@ -121,10 +130,10 @@ class Word:
         )
 
     def __hash__(self) -> int:
-        return hash(self._data.tobytes())
+        return hash(str(self))  # equal to the str it equals, so hashed alike
 
     def __str__(self) -> str:
-        return _CHARS[self._data].tobytes().decode("ascii")
+        return self._data.tobytes().translate(_LETTERS).decode("ascii")
 
     def __repr__(self) -> str:
         s = str(self)
@@ -156,29 +165,24 @@ class ParikhVector:
 
 def parikh(u: Word | str) -> ParikhVector:
     """Parikh vector of u; exact for words of any length."""
-    if isinstance(u, str):
-        u = Word.from_str(u)
+    u = Word.of(u)
     nb = int(np.count_nonzero(u.data))
     return ParikhVector(len(u) - nb, nb)
 
 
+@dataclass(frozen=True, repr=False)
 class BinaryMorphism:
-    """A nonerasing morphism over {a, b}, given by its two images."""
+    """A nonerasing morphism over {a, b}, given by its two images (each a
+    Word or a str, stored as a Word)."""
 
-    __slots__ = ("image_a", "image_b")
+    image_a: Word
+    image_b: Word
 
-    def __init__(self, image_a: Word | str, image_b: Word | str):
-        if isinstance(image_a, str):
-            image_a = Word.from_str(image_a)
-        if isinstance(image_b, str):
-            image_b = Word.from_str(image_b)
-        if len(image_a) == 0 or len(image_b) == 0:
+    def __post_init__(self):
+        if len(self.image_a) == 0 or len(self.image_b) == 0:
             raise ErasingImageError("images must be nonempty words")
-        object.__setattr__(self, "image_a", image_a)
-        object.__setattr__(self, "image_b", image_b)
-
-    def __setattr__(self, *_):
-        raise AttributeError("BinaryMorphism is immutable")
+        object.__setattr__(self, "image_a", Word.of(self.image_a))
+        object.__setattr__(self, "image_b", Word.of(self.image_b))
 
     def image(self, letter: str) -> Word:
         if letter == "a":
@@ -199,8 +203,7 @@ class BinaryMorphism:
             )
 
     def apply(self, u: Word | str) -> Word:
-        if isinstance(u, str):
-            u = Word.from_str(u)
+        u = Word.of(u)
         la, lb = self.lengths()
         nb = int(np.count_nonzero(u.data))
         out = np.empty((len(u) - nb) * la + nb * lb, dtype=np.uint8)
@@ -215,14 +218,6 @@ class BinaryMorphism:
 
     def to_text(self) -> str:
         return f"a->{self.image_a}; b->{self.image_b}"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryMorphism):
-            return NotImplemented
-        return self.image_a == other.image_a and self.image_b == other.image_b
-
-    def __hash__(self) -> int:
-        return hash((self.image_a, self.image_b))
 
     def __repr__(self) -> str:
         return f"BinaryMorphism({self.to_text()!r})"
@@ -251,8 +246,6 @@ def parse_morphism(text: str) -> BinaryMorphism:
             raise MorphismSyntaxError('JSON morphism must have exactly keys "a" and "b"')
         if not all(isinstance(v, str) for v in obj.values()):
             raise MorphismSyntaxError("JSON morphism images must be strings")
-        if "" in obj.values():
-            raise ErasingImageError("images must be nonempty words")
         return BinaryMorphism(obj["a"], obj["b"])
 
     compact = "".join(stripped.split())
@@ -269,8 +262,6 @@ def parse_morphism(text: str) -> BinaryMorphism:
         images[head] = body
     if list(images) != ["a", "b"]:
         raise MorphismSyntaxError("rules must appear in the order a->...; b->...")
-    if images["a"] == "" or images["b"] == "":
-        raise ErasingImageError("images must be nonempty words")
     return BinaryMorphism(images["a"], images["b"])
 
 
@@ -390,8 +381,7 @@ def border_table(u: Word) -> array:
 
 def primitive_root(u: Word | str) -> Word:
     """Shortest w with u = w^k; computed from the classic border function."""
-    if isinstance(u, str):
-        u = Word.from_str(u)
+    u = Word.of(u)
     n = len(u)
     if n == 0:
         return u
@@ -423,22 +413,19 @@ def conjugate_normalize(f: BinaryMorphism) -> ConjugationResult:
     if primitive_root(ia) == primitive_root(ib):
         return ConjugationResult("power_of_common_word", f, Word.empty(), 1)
 
-    bound = math.lcm(len(ia), len(ib)) + 1
-    g = f
-    shift_parts: list[str] = []
-    for _ in range(bound):
-        first_a, first_b = g.image_a[0], g.image_b[0]
-        if first_a != first_b:
+    # Shifting s letters rotates each image left by s, so the shift is the
+    # first s letters common to ia^omega and ib^omega.
+    a, b = str(ia), str(ib)
+    for s in range(math.lcm(len(a), len(b)) + 1):
+        if a[s % len(a)] != b[s % len(b)]:
             break
-        c = first_a
-        shift_parts.append(c)
-        cw = Word.from_str(c)
-        g = BinaryMorphism(g.image_a[1:] + cw, g.image_b[1:] + cw)
     else:
         raise AssertionError("shift loop exceeded the lcm bound on distinct images")
 
-    shift = Word.from_str("".join(shift_parts))
-    if g.image_a[0] == "a":
+    i, j = s % len(a), s % len(b)
+    g = BinaryMorphism(a[i:] + a[:i], b[j:] + b[:j])
+    shift = Word.from_str((a * (s // len(a) + 1))[:s])
+    if a[i] == "a":
         return ConjugationResult("normalized", g, shift, 1)
     # Images start b, a: squaring restores the a, b orientation, and the
     # shift against f^2 is f(shift) . shift.

@@ -184,3 +184,31 @@ def naive_eventual_conditions(wa: str, wb: str, c: int):
     ca, cb = counts
     return (len(set(ca)) == 1, len(set(cb)) == 1, len(set(ca + cb)) == 1,
             naive_parikh(wa[:c]) == naive_parikh(wb[:c]))
+
+
+def naive_primitive_root(u: str) -> str:
+    for p in range(1, len(u) + 1):
+        if len(u) % p == 0 and u[:p] * (len(u) // p) == u:
+            return u[:p]
+    return u
+
+
+def naive_conjugate_normalize(image_a: str, image_b: str):
+    """The letter-by-letter shift loop: move the common first letter of both
+    images to their ends until they start differently, then square when they
+    start b, a. Returns (kind, image_a, image_b, shift, power)."""
+    if naive_primitive_root(image_a) == naive_primitive_root(image_b):
+        return "power_of_common_word", image_a, image_b, "", 1
+    ga, gb, shift = image_a, image_b, ""
+    for _ in range(naive_lcm(len(image_a), len(image_b)) + 1):
+        if ga[0] != gb[0]:
+            break
+        c = ga[0]
+        shift += c
+        ga, gb = ga[1:] + c, gb[1:] + c
+    else:
+        raise AssertionError("shift loop exceeded the lcm bound")
+    if ga[0] == "a":
+        return "normalized", ga, gb, shift, 1
+    return ("swapped_square", naive_apply(ga, gb, ga), naive_apply(ga, gb, gb),
+            naive_apply(image_a, image_b, shift) + shift, 2)
