@@ -254,13 +254,13 @@ def letters_at_progression(source, r: int, d: int) -> set:
 def theta2_one_invariant_check(f: BinaryMorphism, u: Word | str) -> bool:
     """For theta2 = 1 the matrix has the shape [[A+1, alpha*A], [B, alpha*B+1]];
     the linear form B|u|_a - A|u|_b is then invariant under applying f."""
-    profile = spectral_profile(matrix_of(f))
+    m = matrix_of(f)
+    profile = spectral_profile(m)
     if profile.theta2_kind != THETA2_INTEGER or profile.theta2_value != 1:
         raise WrongSpectralCaseError(
             f"needs second eigenvalue exactly 1, got kind={profile.theta2_kind} "
             f"value={profile.theta2_value}"
         )
-    m = matrix_of(f)
     a_param, b_param = m.m11 - 1, m.m21
     u = Word.of(u)
     pu = parikh(u)

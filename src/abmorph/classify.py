@@ -163,13 +163,7 @@ class ImbalanceEvidence:
     reached: bool
 
     def to_json(self) -> dict:
-        return {
-            "window_length": self.window_length,
-            "imbalance": self.imbalance,
-            "horizon": self.horizon,
-            "target": self.target,
-            "reached": self.reached,
-        }
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

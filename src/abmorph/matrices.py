@@ -123,15 +123,7 @@ class SpectralProfile:
     primitive: bool
 
     def to_json(self) -> dict:
-        return {
-            "trace": self.trace,
-            "determinant": self.determinant,
-            "discriminant": self.discriminant,
-            "theta2_kind": self.theta2_kind,
-            "theta2_value": self.theta2_value,
-            "theta2_abs_class": self.theta2_abs_class,
-            "primitive": self.primitive,
-        }
+        return dict(vars(self))
 
 
 def _abs_class_irrational(trace: int, det: int, disc: int) -> str:
@@ -272,14 +264,7 @@ class Rank1Form:
         return self.block_unit * self.trace ** (k - 1)
 
     def to_json(self) -> dict:
-        return {
-            "A": self.A,
-            "B": self.B,
-            "n": self.n,
-            "m": self.m,
-            "trace": self.trace,
-            "block_unit": self.block_unit,
-        }
+        return {**vars(self), "trace": self.trace, "block_unit": self.block_unit}
 
 
 def rank1_decompose(m: MorphismMatrix) -> Rank1Form:

@@ -188,13 +188,7 @@ class PureVerdict:
 
     def to_json(self) -> dict:
         """Periods can exceed 53 bits, so they are decimal strings."""
-        return {
-            "status": self.status,
-            "k": self.k,
-            "period": None if self.period is None else str(self.period),
-            "iterations_used": self.iterations_used,
-            "cycle_detected": self.cycle_detected,
-        }
+        return {**vars(self), "period": None if self.period is None else str(self.period)}
 
 
 def decide_pure(f: BinaryMorphism, max_configurations: int = 10**6) -> PureVerdict:
@@ -247,11 +241,8 @@ class EventualWitness:
     period: int
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "cut_offset": str(self.cut_offset),
-            "period": str(self.period),
-        }
+        """Offsets and periods can exceed 53 bits, so they are decimal strings."""
+        return {**vars(self), "cut_offset": str(self.cut_offset), "period": str(self.period)}
 
 
 def _cyclic_chunk_counts(f, seed, parts, k, period, offset):
