@@ -126,7 +126,7 @@ class ClassifyOptions:
     eventual_k_max limits the eventual-witness level scan; the offset budget
     caps the total cut offsets tried across levels (the per-level offset
     count is the period and grows geometrically). horizon is the prefix
-    length used for imbalance evidence, which collect_evidence turns off."""
+    length used for imbalance evidence; below 2 it gives none."""
 
     eventual_k_max: int = 8
     eventual_offset_budget: int = 10**6
@@ -134,7 +134,6 @@ class ClassifyOptions:
     max_period: int | None = None
     max_preperiod: int | None = None
     max_configurations: int = 10**6
-    collect_evidence: bool = True
 
     def __post_init__(self) -> None:
         # checked here, not on the route that uses a bound, so a bad bound is
@@ -256,7 +255,7 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     row asks for it then gets imbalance evidence."""
     opts = options or ClassifyOptions()
     verdict = _route(f, opts)
-    if opts.collect_evidence and OUTCOMES[verdict.reason][2]:
+    if OUTCOMES[verdict.reason][2]:
         evidence = imbalance_evidence(f, opts.horizon, EVIDENCE_TARGET)
         verdict = replace(verdict, evidence=evidence)
     return verdict

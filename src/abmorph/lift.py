@@ -88,33 +88,30 @@ def build_lift(f: BinaryMorphism, form: Rank1Form) -> UniformLift:
     return lift
 
 
-def _power_rows(
-    lift: UniformLift, coding: np.ndarray, length: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _power_rows(lift: UniformLift, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(states, rows): the first ceil(length / k^j) states of the lifted
-    fixed point, and the coded rows coding[F^j(s)] of the lift's j-th power,
-    for the largest j >= 1 with size * k^j <= _CHUNK (j = 1 when there is
-    none).
+    fixed point, and the letter codes rows = coding[F^j(s)] of the lift's
+    j-th power, for the largest j >= 1 with size * k^j <= _CHUNK (j = 1 when
+    there is none).
 
     The lifted fixed point x is its own image, so x = F^j(x): whole rows
     gathered in the order of the states give its first `length` letters,
     k^j per state. coding[F^(i+1)(s)] is coding[F^i] read at the states of
     F(s), so each power is one row gather of the previous one by the table
-    of F, built in the dtype of `coding`."""
+    of F."""
     table = np.array(lift.images, dtype=np.int32)
-    rows = coding[table]
+    rows = (np.array(lift.coding) == "b").view(np.uint8)[table]
     while lift.size * rows.shape[1] * lift.k <= _CHUNK:
         rows = rows[table].reshape(lift.size, -1)
-    return _expand_prefix(table, 0, -(-length // rows.shape[1])), rows
+    return _expand_prefix(table, -(-length // rows.shape[1])), rows
 
 
 def lift_fixed_prefix(lift: UniformLift, length: int) -> np.ndarray:
     """First `length` states of the lifted fixed point (int32 state ids),
-    written by one row gather of F^j (see _power_rows)."""
+    expanded in place like fixed_point_prefix: about 4 bytes per letter."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    states, rows = _power_rows(lift, np.arange(lift.size, dtype=np.int32), length)
-    return rows[states].reshape(-1)[:length]
+    return _expand_prefix(np.array(lift.images, dtype=np.int32), length)
 
 
 def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:
@@ -126,8 +123,7 @@ def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:
     with the letters it covers. The letter prefix dominates the memory: about
     1.05 bytes per letter at 1e7 letters (tracemalloc)."""
     letters = fixed_point_prefix(f, length).data
-    coding = (np.array(lift.coding) == "b").view(np.uint8)
-    states, rows = _power_rows(lift, coding, length)
+    states, rows = _power_rows(lift, length)
     width = rows.shape[1]
     step = max(1, _CHUNK // width)
     buf = np.empty((min(states.size, step), width), dtype=np.uint8)

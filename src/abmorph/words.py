@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 A = 0
-B = 1
 
 _LETTERS = bytes.maketrans(b"\x00\x01", b"ab")  # letter code -> ascii letter
 
@@ -207,7 +206,7 @@ class BinaryMorphism:
         la, lb = self.lengths()
         nb = int(np.count_nonzero(u.data))
         out = np.empty((len(u) - nb) * la + nb * lb, dtype=np.uint8)
-        _apply_images([self.image_a.data, self.image_b.data], u.data, out)
+        _row_gather([self.image_a.data, self.image_b.data])(u.data, out)
         return Word._adopt(out)
 
     def __call__(self, u: Word | str) -> Word:
@@ -310,17 +309,12 @@ def _row_gather(images: Sequence[np.ndarray]):
     return apply
 
 
-def _apply_images(images: list[np.ndarray], arr: np.ndarray, out: np.ndarray) -> tuple[int, int]:
-    """One call of the _row_gather kernel: (written, consumed)."""
-    return _row_gather(images)(arr, out)
-
-
-def _expand_prefix(images: Sequence[np.ndarray], start: int, length: int) -> np.ndarray:
+def _expand_prefix(images: Sequence[np.ndarray], length: int) -> np.ndarray:
     """First `length` >= 0 letters of the fixed point of the morphism given
-    by `images`, prolongable on `start`, built in place in one buffer.
+    by `images`, prolongable on letter 0, built in place in one buffer.
 
-    Uses the telescoping factorization  s = start . x . f(x) . f^2(x) ...
-    where images[start] = start . x: each round reads its block as a view
+    Uses the telescoping factorization  s = 0 . x . f(x) . f^2(x) ...
+    where images[0] = 0 . x: each round reads its block as a view
     out[lo:total] and writes the block's image straight after it, all rounds
     by one _row_gather kernel. The buffer holds length + max|image| letters,
     so each round stops once the requested length is reached. A stationary
@@ -329,7 +323,7 @@ def _expand_prefix(images: Sequence[np.ndarray], start: int, length: int) -> np.
     view of the buffer.
     """
     apply = _row_gather(images)
-    head = images[start]
+    head = images[0]
     out = np.empty(length + max(im.size for im in images), dtype=head.dtype)
     out[: head.size] = head
     lo, total = 1, int(head.size)
@@ -353,7 +347,7 @@ def fixed_point_prefix(f: BinaryMorphism, length: int) -> Word:
     f.require_prolongable()
     if length < 0:
         raise ValueError("length must be >= 0")
-    return Word._adopt(_expand_prefix([f.image_a.data, f.image_b.data], A, length))
+    return Word._adopt(_expand_prefix([f.image_a.data, f.image_b.data], length))
 
 
 def power_lengths(f: BinaryMorphism, t: int) -> tuple[int, int]:

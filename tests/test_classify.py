@@ -148,7 +148,7 @@ class TestBranchDetails:
             assert (ev.horizon, ev.target) == (horizon, target)
 
     def test_evidence_can_be_disabled(self):
-        opts = ClassifyOptions(collect_evidence=False)
+        opts = ClassifyOptions(horizon=0)
         v = classify(parse_morphism("a->aaab; b->abbb"), opts)
         assert v.evidence is None
 

@@ -1,8 +1,12 @@
 """Command-line behavior: exit codes, formats, determinism, batch mode."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -409,6 +413,15 @@ class TestNegativeHorizon:
         report = json.loads(out)
         assert report["evidence"] is None and report["bounds"]["horizon"] == int(horizon)
 
+    def test_default_horizon_keeps_evidence(self, capsys):
+        # the horizon is the one evidence switch: below 2 it skips the scan
+        code, out, _ = run(capsys, "classify", "a->aab; b->b")
+        assert code == 0
+        report = json.loads(out)
+        horizon = ClassifyOptions().horizon
+        assert report["bounds"]["horizon"] == horizon
+        assert report["evidence"]["horizon"] == horizon
+
 
 class TestBadBoundOnAnyRoute:
     """classify rejects a bad bound before it routes or reads any morphism."""
@@ -426,3 +439,25 @@ class TestBadBoundOnAnyRoute:
         corpus.write_text(lines)
         code, out, err = run(capsys, "classify", "--corpus", str(corpus), "--kmax", "-2")
         assert (code, out, err) == (1, "", "abmorph: k_max must be >= 0\n")
+
+
+class TestConsoleEntry:
+    """`python -m abmorph.cli` runs entry(), which exits with main's code."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", "abmorph.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_prefix(self):
+        done = self.run_module("prefix", "a->ab; b->ba", "--length", "4")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "abba\n", "")
+
+    def test_bad_morphism(self):
+        done = self.run_module("prefix", "a->xb; b->ba", "--length", "4")
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("abmorph:")
+        assert "Traceback" not in done.stderr

@@ -306,7 +306,7 @@ class TestPowerRows:
 
     def test_table_width(self, power_case):
         _, lift, width, _, _ = power_case
-        _, rows = _power_rows(lift, np.arange(lift.size, dtype=np.int32), 1)
+        _, rows = _power_rows(lift, 1)
         assert rows.shape == (lift.size, width)
         if lift.size == 400:
             assert width == lift.k == 200

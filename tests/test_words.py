@@ -21,7 +21,7 @@ from abmorph import (
     primitive_root,
     square,
 )
-from abmorph.words import _CHUNK, _apply_images, _expand_prefix
+from abmorph.words import _CHUNK, _expand_prefix, _row_gather
 from conftest import random_morphism
 from oracles import (
     last_round_lengths,
@@ -408,7 +408,7 @@ class TestInPlaceKernel:
         # doubling copy must keep the phase at odd and even lengths.
         images = [np.array(im, dtype=np.int32) for im in ([0, 1, 2], [1], [2])]
         for n in (0, 1, 2, 3, 4, 7, 2 * _CHUNK + 1, 2 * _CHUNK + 2):
-            got = _expand_prefix(images, 0, n)
+            got = _expand_prefix(images, n)
             assert got.dtype == np.int32
             assert got.tolist() == ([0] + [1, 2] * n)[:n]
 
@@ -425,7 +425,7 @@ class TestInPlaceKernel:
         want = naive_apply("abb", "ab", "".join("ab"[c] for c in arr))
         for room in (0, 1, 2, 3, 5, 2 * _CHUNK + 1, len(want) - 1, len(want), len(want) + 4):
             out = np.full(room, 9, dtype=np.uint8)
-            written, consumed = _apply_images(images, arr, out)
+            written, consumed = _row_gather(images)(arr, out)
             sizes = [3 if c == 0 else 2 for c in arr]
             assert written == sum(sizes[:consumed])
             assert consumed == arr.size or written + sizes[consumed] > room
@@ -509,7 +509,7 @@ class TestRowGather:
         rooms += [rng.randrange(len(want)) for _ in range(5)]
         for room in rooms:
             out = np.full(room, 9, dtype=np.uint8)
-            written, consumed = _apply_images(images, arr, out)
+            written, consumed = _row_gather(images)(arr, out)
             assert written == sum(sizes[:consumed])
             assert consumed == arr.size or written + sizes[consumed] > room
             assert "".join("ab"[c] for c in out[:written]) == want[:written]
