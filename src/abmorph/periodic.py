@@ -1,12 +1,12 @@
 """Certified search for eventual periodicity of the fixed point.
 
-Candidates (u, w) with u w^omega matching a long prefix of f^omega(a) are
-certified exactly: u w^omega is a fixed point of f iff f(u) f(w)^omega equals
-u w^omega, and equality of two eventually periodic words is decided by
-comparing prefixes of length max(|u1|, |u2|) + lcm(|w1|, |w2|). A certified
-candidate equals f^omega(a) because both start with a and the fixed point
-prolongable on a is unique. Negative outcomes only mean no candidate exists
-within the stated bounds.
+One candidate (u, w) is read off a long prefix of f^omega(a): w is the
+smallest period of the prefix's tail, which by Fine-Wilf is the length of
+every primitive period that fits. It is certified exactly: u w^omega is a
+fixed point of f iff f(u) f(w)^omega equals u w^omega. A certified candidate
+equals f^omega(a) because both start with a and the fixed point prolongable
+on a is unique. Negative outcomes only mean no candidate exists within the
+stated bounds.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ def periodic_prefix(preperiod: Word, period: Word, length: int) -> Word:
 
 
 def eq_eventually_periodic(u1: Word, w1: Word, u2: Word, w2: Word) -> bool:
-    """Exact equality of u1 w1^omega and u2 w2^omega."""
+    """Exact equality of u1 w1^omega and u2 w2^omega, decided on prefixes of
+    max(|u1|, |u2|) + lcm(|w1|, |w2|) letters."""
     if len(w1) == 0 or len(w2) == 0:
         raise ValueError("period words must be nonempty")
     n = max(len(u1), len(u2)) + math.lcm(len(w1), len(w2))
@@ -94,31 +95,27 @@ def decide_periodic(
     max_period: int | None = None,
     max_preperiod: int | None = None,
 ) -> PeriodicityVerdict:
-    """Search for (u, w) with f^omega(a) = u w^omega, |u| <= max_preperiod and
-    |w| <= max_period: for each preperiod r in ascending order, the candidate
-    w is the smallest period of the horizon prefix after r.
+    """Search for (u, w) with f^omega(a) = u w^omega, |u| <= max_preperiod,
+    |w| <= max_period and u shortest.
 
-    The horizon is max_preperiod + 4 max_period letters; candidates are
-    certified via f(u) f(w)^omega = u w^omega, which is exact, so "periodic"
-    verdicts are proofs."""
+    The horizon is max_preperiod + 4 max_period letters: u is its first
+    max_preperiod letters, w the first p of the rest, whose smallest period
+    is p. A fixed point u w^omega with w primitive has p dividing |f(w)|, as
+    f(w)^omega and w^omega share a suffix; only then is the exact f(u)
+    f(w)^omega = u w^omega checked, so "periodic" verdicts are proofs. The
+    shortest u ends at the last letter that breaks the period p."""
     f.require_prolongable()
     _check_search_bounds(max_period, max_preperiod)
     bound = default_search_bound(f)
     max_p = bound if max_period is None else max_period
     max_r = bound if max_preperiod is None else max_preperiod
-    horizon = max_r + 4 * max_p
-    arr = fixed_point_prefix(f, horizon).data
-    # A word and its reverse share their periods, and the reverse of arr[r:]
-    # is a prefix of arr[::-1], so one border table gives every tail's
-    # smallest period p. The tail is at least 4 max_p >= p + q letters long,
-    # so by Fine-Wilf every period q <= max_p is a multiple of p and spells
-    # the same u w^omega: testing p alone decides the whole row.
-    border = border_table(Word(arr[::-1]))
-    for r in range(max_r + 1):
-        p = (horizon - r) - border[horizon - r - 1]
-        if p > max_p:
-            continue
-        u, w = Word(arr[:r]), Word(arr[r : r + p])
-        if eq_eventually_periodic(f.apply(u), f.apply(w), u, w):
-            return PeriodicityVerdict("periodic", u, w, max_r, max_p)
-    return PeriodicityVerdict("not_found", None, None, max_r, max_p)
+    arr = fixed_point_prefix(f, max_r + 4 * max_p).data
+    tail = Word(arr[max_r:])
+    p = len(tail) - border_table(tail)[-1]
+    u, w = Word(arr[:max_r]), tail[:p]
+    fw = f.apply(w)
+    if p > max_p or len(fw) % p or not eq_eventually_periodic(f.apply(u), fw, u, w):
+        return PeriodicityVerdict("not_found", None, None, max_r, max_p)
+    breaks = np.flatnonzero(arr[:max_r] != arr[p : max_r + p])
+    r = int(breaks[-1]) + 1 if len(breaks) else 0
+    return PeriodicityVerdict("periodic", Word(arr[:r]), Word(arr[r : r + p]), max_r, max_p)

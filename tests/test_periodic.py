@@ -89,6 +89,9 @@ class TestDecidePeriodic:
         assert (v.preperiod, v.period) == (W(""), W("ab"))
         v = decide_periodic(parse_morphism("a->aa; b->ab"))
         assert (v.preperiod, v.period) == (W(""), W("a"))
+        # the candidate starts at letter 1000; its period reaches back to 1
+        v = decide_periodic(parse_morphism("a->ab; b->b"), 1, 1000)
+        assert (v.preperiod, v.period) == (W("a"), W("b"))
 
     def test_golden_not_found(self):
         assert not decide_periodic(parse_morphism("a->ab; b->ba")).found
@@ -136,7 +139,7 @@ class TestDecidePeriodic:
 
     def test_matches_naive_grid_default_bounds(self, rng):
         texts = ["a->ab; b->b", "a->aab; b->b", "a->aa; b->ab",
-                 "a->abb; b->bb", "a->aaa; b->bab"]
+                 "a->abb; b->bb", "a->aaa; b->bab", "a->aaaaaabb; b->b"]
         texts += [random_nonprimitive(rng, 4).to_text() for _ in range(3)]
         for text in texts:
             f = parse_morphism(text)
@@ -144,6 +147,27 @@ class TestDecidePeriodic:
             expected = naive_decide_periodic(
                 str(f.image_a), str(f.image_b), bound, bound)
             assert presentation(decide_periodic(f)) == expected, text
+
+    @pytest.mark.parametrize("text, found", [
+        ("a->aaaaaabb; b->b", False),
+        ("a->aaaaaaab; b->bbb", False),
+        ("a->aaaaaaabbbbbbababbbbbb; b->b", False),
+        ("a->ab; b->b", True),
+    ])
+    def test_certifies_at_most_once(self, monkeypatch, text, found):
+        # A search certifies one candidate at most: a spurious certification
+        # costs lcm(|w|, |f(w)|) letters, up to millions on these inputs.
+        import abmorph.periodic as periodic
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return eq_eventually_periodic(*args)
+
+        monkeypatch.setattr(periodic, "eq_eventually_periodic", counted)
+        assert decide_periodic(parse_morphism(text)).found == found
+        assert len(calls) == 1 if found else len(calls) <= 1
 
     def test_period_bound_is_inclusive(self):
         # (ab)^omega and a b^omega: the period may equal max_period, not exceed it
