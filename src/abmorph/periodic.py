@@ -98,12 +98,11 @@ def decide_periodic(
     """Search for (u, w) with f^omega(a) = u w^omega, |u| <= max_preperiod,
     |w| <= max_period and u shortest.
 
-    The horizon is max_preperiod + 4 max_period letters: u is its first
-    max_preperiod letters, w the first p of the rest, whose smallest period
-    is p. A fixed point u w^omega with w primitive has p dividing |f(w)|, as
-    f(w)^omega and w^omega share a suffix; only then is the exact f(u)
-    f(w)^omega = u w^omega checked, so "periodic" verdicts are proofs. The
-    shortest u ends at the last letter that breaks the period p."""
+    p is the smallest period of the 4 max_period letters after max_preperiod;
+    u ends at the last letter before them that breaks it, w is the p letters
+    after u. A fixed point u w^omega with w primitive has p dividing |f(w)|,
+    as f(w)^omega and w^omega share a suffix; only then is the exact
+    f(u) f(w)^omega = u w^omega checked, so "periodic" verdicts are proofs."""
     f.require_prolongable()
     _check_search_bounds(max_period, max_preperiod)
     bound = default_search_bound(f)
@@ -112,10 +111,11 @@ def decide_periodic(
     arr = fixed_point_prefix(f, max_r + 4 * max_p).data
     tail = Word(arr[max_r:])
     p = len(tail) - border_table(tail)[-1]
-    u, w = Word(arr[:max_r]), tail[:p]
-    fw = f.apply(w)
-    if p > max_p or len(fw) % p or not eq_eventually_periodic(f.apply(u), fw, u, w):
-        return PeriodicityVerdict("not_found", None, None, max_r, max_p)
-    breaks = np.flatnonzero(arr[:max_r] != arr[p : max_r + p])
-    r = int(breaks[-1]) + 1 if len(breaks) else 0
-    return PeriodicityVerdict("periodic", Word(arr[:r]), Word(arr[r : r + p]), max_r, max_p)
+    if p <= max_p:
+        breaks = np.flatnonzero(arr[:max_r] != arr[p : max_r + p])
+        r = int(breaks[-1]) + 1 if len(breaks) else 0
+        u, w = Word(arr[:r]), Word(arr[r : r + p])
+        fw = f.apply(w)
+        if len(fw) % p == 0 and eq_eventually_periodic(f.apply(u), fw, u, w):
+            return PeriodicityVerdict("periodic", u, w, max_r, max_p)
+    return PeriodicityVerdict("not_found", None, None, max_r, max_p)

@@ -1,5 +1,7 @@
 """Exact eventual periodicity of fixed points."""
 
+import math
+
 import pytest
 
 from abmorph import (
@@ -148,26 +150,29 @@ class TestDecidePeriodic:
                 str(f.image_a), str(f.image_b), bound, bound)
             assert presentation(decide_periodic(f)) == expected, text
 
-    @pytest.mark.parametrize("text, found", [
-        ("a->aaaaaabb; b->b", False),
-        ("a->aaaaaaab; b->bbb", False),
-        ("a->aaaaaaabbbbbbababbbbbb; b->b", False),
-        ("a->ab; b->b", True),
+    @pytest.mark.parametrize("text, found, letters", [
+        ("a->aaaaaabb; b->b", False, 0),
+        ("a->aaaaaaab; b->bbb", False, 0),
+        ("a->aaaaaaabbbbbbababbbbbb; b->b", False, 0),
+        ("a->ab; b->b", True, 3),
+        ("a->" + "a" * 300 + "; b->b", True, 300),
     ])
-    def test_certifies_at_most_once(self, monkeypatch, text, found):
-        # A search certifies one candidate at most: a spurious certification
-        # costs lcm(|w|, |f(w)|) letters, up to millions on these inputs.
+    def test_certifies_at_most_once(self, monkeypatch, text, found, letters):
+        # A search certifies one candidate at most, with the shortest
+        # preperiod: a spurious certification costs lcm(|w|, |f(w)|) letters
+        # and a long preperiod |f(u)|, up to millions on these inputs.
         import abmorph.periodic as periodic
 
-        calls = []
+        compared = []
 
-        def counted(*args):
-            calls.append(args)
-            return eq_eventually_periodic(*args)
+        def counted(u1, w1, u2, w2):
+            compared.append(max(len(u1), len(u2)) + math.lcm(len(w1), len(w2)))
+            return eq_eventually_periodic(u1, w1, u2, w2)
 
         monkeypatch.setattr(periodic, "eq_eventually_periodic", counted)
         assert decide_periodic(parse_morphism(text)).found == found
-        assert len(calls) == 1 if found else len(calls) <= 1
+        assert len(compared) == 1 if found else len(compared) <= 1
+        assert sum(compared) <= letters
 
     def test_period_bound_is_inclusive(self):
         # (ab)^omega and a b^omega: the period may equal max_period, not exceed it
