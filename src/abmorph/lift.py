@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateTraceError, OutOfRangeError
 from .matrices import Rank1Form
-from .words import _CHUNK, BinaryMorphism, _expand_prefix, fixed_point_prefix
+from .words import _CHUNK, BinaryMorphism, _expand_prefix, _prefix_pieces
 
 __all__ = [
     "UniformLift",
@@ -117,22 +117,45 @@ def lift_fixed_prefix(lift: UniformLift, length: int) -> np.ndarray:
 def lift_verify(f: BinaryMorphism, lift: UniformLift, length: int) -> bool:
     """Does the coded lifted fixed point reproduce f^omega(a) on `length` letters?
 
-    The letter prefix is built first, independently of the lift. The coded
-    rows of F^j (see _power_rows) then give k^j letters per state: each chunk
-    of about _CHUNK letters is one row gather into a reused buffer, compared
-    with the letters it covers. The letter prefix dominates the memory: about
-    1.05 bytes per letter at 1e7 letters (tracemalloc)."""
-    letters = fixed_point_prefix(f, length).data
+    The letters come from f alone, independently of the lift, as the pieces
+    fixed_point_prefix copies into its buffer: the blocks f^j(a) and f^j(b)
+    in the order of a short head, when blocks pay. The coded rows of F^j
+    (see _power_rows) give k^j letters per state, each chunk of about _CHUNK
+    letters one row gather into a reused buffer. The two streams are
+    compared as they are produced, so no prefix is held: the peak is the
+    blocks, the F^j rows and the buffer, 0.06 bytes per letter at 1e7
+    letters of Thue-Morse and 0.12 of a->ab; b->bbaa (tracemalloc)."""
+    f.require_prolongable()
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    letters = _prefix_pieces([f.image_a.data, f.image_b.data], length)
     states, rows = _power_rows(lift, length)
     width = rows.shape[1]
     step = max(1, _CHUNK // width)
     buf = np.empty((min(states.size, step), width), dtype=np.uint8)
-    for lo in range(0, states.size, step):
-        chunk = states[lo : lo + step]
-        coded = np.take(rows, chunk, axis=0, out=buf[: chunk.size], mode="clip")
-        want = letters[lo * width : (lo + step) * width]
-        if not np.array_equal(coded.reshape(-1)[: want.size], want):
-            return False
+
+    def coded():
+        for lo in range(0, states.size, step):
+            chunk = states[lo : lo + step]
+            yield np.take(rows, chunk, axis=0, out=buf[: chunk.size], mode="clip").reshape(-1)
+
+    return _spells_prefix(letters, coded())
+
+
+def _spells_prefix(pieces, stream) -> bool:
+    """Do the arrays of `pieces`, read in order, spell a prefix of what the
+    arrays of `stream` spell, the stream being the longer? Both are read
+    once, a chunk at a time; the stream may reuse its buffer, as each of its
+    arrays is used up before the next is drawn."""
+    have = np.empty(0, dtype=np.uint8)
+    for piece in pieces:
+        while piece.size:
+            if not have.size:
+                have = next(stream)
+            n = min(have.size, piece.size)
+            if not np.array_equal(have[:n], piece[:n]):
+                return False
+            have, piece = have[n:], piece[n:]
     return True
 
 

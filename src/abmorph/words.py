@@ -1,10 +1,15 @@
 """Binary words, Parikh vectors, and binary morphisms.
 
 Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b).
-A fixed-point prefix is built in place in its own buffer by row gathers from
-a padded image table, each under _CHUNK letters: the tracemalloc peak is
-1.05-1.07 bytes per letter at 1e7 letters of Thue-Morse, Fibonacci and
-a->ab; b->bbaa, and 1.01 at 1e8 letters. Counting is exact.
+The fixed point s is its own image under every power f^j, so a long prefix
+is block copies: the blocks f^j(a) and f^j(b) of about 16 sqrt(length)
+letters, copied into one buffer of exactly `length` letters in the order of
+a short head of s. Short prefixes, and morphisms with a letter that stops
+growing, are built in place by rounds. Both build by row gathers from a
+padded image table, each under _CHUNK letters. The tracemalloc peak at 1e7
+letters is 1.05 bytes per letter for Thue-Morse, 1.09 for Fibonacci and
+1.11 for a->ab; b->bbaa (the blocks and the gather temporaries, next to the
+buffer), and 1.01-1.02 at 1e8 letters. Counting is exact.
 """
 
 from __future__ import annotations
@@ -309,7 +314,7 @@ def _row_gather(images: Sequence[np.ndarray]):
     return apply
 
 
-def _expand_prefix(images: Sequence[np.ndarray], length: int) -> np.ndarray:
+def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
     """First `length` >= 0 letters of the fixed point of the morphism given
     by `images`, prolongable on letter 0, built in place in one buffer.
 
@@ -340,6 +345,84 @@ def _expand_prefix(images: Sequence[np.ndarray], length: int) -> np.ndarray:
             break
         lo, total = total, filled
     return out[:length]
+
+
+_BLOCK_FROM = 2**19  # shorter prefixes are built by rounds alone
+
+
+def _block_rounds(images: Sequence[np.ndarray], length: int) -> list[np.ndarray] | None:
+    """The sizes |f^i(c)| of every letter c for i = 0, ..., j, j the least
+    round at which they all reach 16 sqrt(length) letters; or None when
+    blocks do not pay: a short prefix, a letter that stops growing, j <= 1
+    (the images are already that long), or blocks of over length / 8
+    letters in all, which also keeps the sizes far from overflow.
+
+    A letter c stops growing exactly when |f^t(c)| = |f^(t-n)(c)| for an
+    alphabet of n letters: n rounds without growth walk every letter of
+    f^(t-n)(c) through n + 1 single-letter images, so into a cycle of them."""
+    if length < _BLOCK_FROM:
+        return None
+    n, target = len(images), 16 * math.isqrt(length)
+    counts = np.array([np.bincount(im, minlength=n) for im in images], dtype=np.int64)
+    rounds = [np.ones(n, dtype=np.int64)]
+    while rounds[-1].min() < target:
+        grown = counts @ rounds[-1]
+        if grown.sum() > length // 8 or len(rounds) >= n and (grown == rounds[-n]).any():
+            return None
+        rounds.append(grown)
+    return rounds if len(rounds) > 2 else None
+
+
+def _block_pieces(images: Sequence[np.ndarray], rounds: list[np.ndarray],
+                  length: int) -> Iterator[np.ndarray]:
+    """The first `length` letters of the fixed point s, as views of the
+    blocks f^j(c) (j = len(rounds) - 1), the last one cut short.
+
+    s is its own image under f^j, so it is the blocks of the letters of its
+    head, the first ceil(length / min|f^j(c)|) letters of s, in order. The
+    blocks of all letters sit in one array, f^i(0 1 ... n-1), and each
+    round is one _row_gather of the last into an array of the next sizes."""
+    apply = _row_gather(images)
+    blocks = np.arange(len(images), dtype=images[0].dtype)
+    for sizes in rounds[1:]:
+        grown = np.empty(int(sizes.sum()), dtype=blocks.dtype)
+        apply(blocks, grown)
+        blocks = grown
+    starts = np.cumsum([0] + rounds[-1].tolist()).tolist()
+    pos = 0
+    for c in _expand_prefix(images, -(-length // int(rounds[-1].min()))).tolist():
+        end = min(starts[c + 1], starts[c] + length - pos)
+        yield blocks[starts[c] : end]
+        pos += end - starts[c]
+        if pos == length:
+            return
+
+
+def _prefix_pieces(images: Sequence[np.ndarray], length: int) -> Iterator[np.ndarray]:
+    """Arrays that spell the first `length` >= 0 letters of the fixed point
+    of the morphism given by `images` (prolongable on letter 0) in order:
+    the blocks of _block_pieces when they pay, else the whole prefix."""
+    rounds = _block_rounds(images, length)
+    if rounds is None:
+        return iter([_expand_rounds(images, length)])
+    return _block_pieces(images, rounds, length)
+
+
+def _expand_prefix(images: Sequence[np.ndarray], length: int) -> np.ndarray:
+    """First `length` >= 0 letters of the fixed point of the morphism given
+    by `images`, prolongable on letter 0: the blocks of _block_pieces copied
+    into one buffer of `length` letters when they pay, else _expand_rounds.
+    The buffer is allocated before any block is built, so a length too large
+    for memory fails at once."""
+    rounds = _block_rounds(images, length)
+    if rounds is None:
+        return _expand_rounds(images, length)
+    out = np.empty(length, dtype=images[0].dtype)
+    pos = 0
+    for piece in _block_pieces(images, rounds, length):
+        out[pos : pos + piece.size] = piece
+        pos += piece.size
+    return out
 
 
 def fixed_point_prefix(f: BinaryMorphism, length: int) -> Word:
