@@ -12,8 +12,10 @@ change first when it is odd.
 
 The output keeps every run's end-to-end metrics, report_sha256, failed_frac
 and pass count, and one summary row per seed, workload and metric: each
-side's median and quartiles, and in how many pairs the change read better
-(ties count for neither), by the direction BENCHMARK.json gives the metric.
+side's median and quartiles, in how many pairs the change read better
+(ties count for neither), by the direction BENCHMARK.json gives the metric,
+and hash_equal: whether both sides wrote the same report_sha256 in every
+pair. A pair whose two report hashes differ is also printed as it ends.
 An existing output file is extended: runs of a seed and workload measured
 again replace the old ones. Exit status 1 when a run fails its checks.
 """
@@ -82,6 +84,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
         pairs = sorted(p for p, s in side if s == "change" and (p, "parent") in side)
         if not pairs:
             continue
+        hash_equal = not hash_mismatches([r for r in mine if r["pair"] in pairs])
         for metric, direction in better.items():
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (side[p, "change"][metric] - side[p, "parent"][metric]) > 0 for p in pairs)
@@ -94,8 +97,21 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
                 "parent": quartiles([side[p, "parent"][metric] for p in pairs]),
                 "change": quartiles([side[p, "change"][metric] for p in pairs]),
                 "change_wins": wins,
+                "hash_equal": hash_equal,
             })
     return rows
+
+
+def hash_mismatches(runs: list[dict]) -> list[dict]:
+    """The pairs in `runs` whose parent and change runs wrote different
+    report_sha256: one entry per such pair, with both hashes."""
+    sha = {(r["seed"], r["workload"], r["pair"], r["side"]): r.get("report_sha256") for r in runs}
+    out = []
+    for (seed, workload, pair, side), change in sorted(sha.items()):
+        parent = sha.get((seed, workload, pair, "parent"), change)  # no parent: nothing to compare
+        if side == "change" and parent != change:
+            out.append({"seed": seed, "workload": workload, "pair": pair, "parent": parent, "change": change})
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,12 +150,17 @@ def main(argv: list[str] | None = None) -> int:
                           + " ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()), flush=True)
                     out_path.write_text(json.dumps({**report, "summary": summarize(report["runs"], better)},
                                                    indent=1) + "\n")
+                for bad in hash_mismatches([r for r in report["runs"]
+                                            if (r["seed"], r["workload"], r["pair"]) == (args.seed, workload, pair)]):
+                    print(f"{workload} seed={args.seed} pair={pair}: report_sha256 differs, "
+                          f"parent {bad['parent']} change {bad['change']}", flush=True)
     for row in summarize([r for r in report["runs"] if r["seed"] == args.seed], better):
         if row["workload"] in workloads:
             p, c = row["parent"], row["change"]
             print(f"{row['workload']:15s} {row['metric']:15s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                  f"  change better in {row['change_wins']}/{row['pairs']}")
+                  f"  change better in {row['change_wins']}/{row['pairs']}"
+                  + ("" if row["hash_equal"] else "  report hashes differ"))
     return 0 if ok else 1
 
 

@@ -44,19 +44,47 @@ def _as_array(source) -> np.ndarray:
     return arr
 
 
+_ONES = np.uint64(0x0101010101010101)  # times a word: each byte sums the bytes up to it
+_COUNT_CHUNK = 2**18  # letters per pass of _prefix_counts: bounds its temporaries
+
+
 def _prefix_counts(arr: np.ndarray, longest: int | None = None) -> np.ndarray:
     """P[i] = number of a's (letter code 0) among the first i letters, modulo
     2^w in the narrowest unsigned dtype with 2^w > longest (default: the
     whole prefix, so the counts themselves are exact). Wrapping unsigned
     subtraction P[i + m] - P[i] is then the exact a-count of any window of
-    m <= longest letters: one byte per letter up to windows of 255."""
+    m <= longest letters: one byte per letter up to windows of 255.
+
+    Eight letters at a time: the 0/1 marks of eight letters are the bytes of
+    one <u8 word, and multiplying it by 0x0101010101010101 leaves in each
+    byte the marks up to it (at most 8, so no byte carries into the next).
+    The top byte is the word's total; np.cumsum runs over those totals only,
+    and each word's offset is added to its eight bytes. The letters are read
+    in passes of _COUNT_CHUNK, so the temporaries stay under a few
+    _COUNT_CHUNK bytes next to the counts; a tail of under 8 letters is
+    summed directly."""
     longest = arr.size if longest is None else longest
     bits = 8
     while longest >= 2**bits:
         bits *= 2
     dtype = np.dtype(f"uint{bits}")
-    counts = np.zeros(arr.size + 1, dtype=dtype)
-    np.cumsum(arr == 0, dtype=dtype, out=counts[1:])
+    counts = np.empty(arr.size + 1, dtype=dtype)
+    counts[0] = 0
+    for lo in range(0, arr.size, _COUNT_CHUNK):
+        hi = min(lo + _COUNT_CHUNK, arr.size)
+        words = (hi - lo) // 8
+        mid = lo + 8 * words
+        if words:
+            ups = (arr[lo:mid] == 0).view("<u8") * _ONES
+            totals = (ups >> np.uint64(56)).astype(dtype)
+            starts = np.cumsum(totals, dtype=dtype)
+            starts -= totals
+            starts += counts[lo]
+            np.add(ups.view(np.uint8).reshape(words, 8), starts[:, None],
+                   out=counts[lo + 1 : mid + 1].reshape(words, 8))
+        if hi > mid:
+            np.cumsum(arr[mid:hi] == 0, dtype=dtype, out=counts[mid + 1 : hi + 1])
+            counts[mid + 1 : hi + 1] += counts[mid]
     return counts
 
 

@@ -23,7 +23,7 @@ from .matrices import (
     FrequencyReport,
     Rank1Form,
     SpectralProfile,
-    letter_frequencies,
+    _frequencies_of,
     matrix_of,
     rank1_decompose,
     spectral_profile,
@@ -285,7 +285,7 @@ def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:
             bounds=bounds + (("horizon", opts.horizon),),
         )
 
-    primitive = partial(Verdict, spectral=prof, frequencies=letter_frequencies(f))
+    primitive = partial(Verdict, spectral=prof, frequencies=_frequencies_of(mat))
 
     if prof.theta2_kind != THETA2_ZERO:
         form_km = special_form_exponents(f)

@@ -220,7 +220,11 @@ def letter_frequencies(f: BinaryMorphism) -> FrequencyReport:
     (m12, theta1 - m11); normalizing to sum 1 and rationalizing gives
     freq_a = P / (Q + sqrt(D)) with P = 2 m12 and Q = 2 m12 + m22 - m11.
     """
-    m = matrix_of(f)
+    return _frequencies_of(matrix_of(f))
+
+
+def _frequencies_of(m: MorphismMatrix) -> FrequencyReport:
+    """letter_frequencies of a morphism whose incidence matrix is m."""
     if not m.primitive:
         raise NotPrimitiveError("letter frequencies need a primitive matrix")
     disc = m.discriminant

@@ -4,12 +4,17 @@ Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b).
 The fixed point s is its own image under every power f^j, so a long prefix
 is block copies: the blocks f^j(a) and f^j(b) of about 16 sqrt(length)
 letters, copied into one buffer of exactly `length` letters in the order of
-a short head of s. Short prefixes, and morphisms with a letter that stops
-growing, are built in place by rounds. Both build by row gathers from a
-padded image table, each under _CHUNK letters. The tracemalloc peak at 1e7
-letters is 1.05 bytes per letter for Thue-Morse, 1.09 for Fibonacci and
-1.11 for a->ab; b->bbaa (the blocks and the gather temporaries, next to the
-buffer), and 1.01-1.02 at 1e8 letters. Counting is exact.
+a short head of s, the blocks built by row gathers from a padded image
+table, each under _CHUNK letters. Short prefixes, and morphisms with a
+letter that stops growing, are built in place by rounds: f^(t+1)(a) is
+f^t(a) followed by slice copies of the blocks f^t(c) of the letters of
+f(a)[1:], each next block one np.concatenate of the blocks of its image
+(row gathers instead once the blocks would pass `length` bytes, as in a
+lift with many states). The tracemalloc peak at 1e5 letters is 1.70 bytes
+per letter for Thue-Morse, 1.56 for Fibonacci and 1.89 for a->ab; b->bbaa
+(the buffer and the last two rounds' blocks); at 1e7 letters it is 1.05,
+1.09 and 1.11 (the blocks and the gather temporaries, next to the buffer),
+and 1.01-1.02 at 1e8 letters. Counting is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -314,28 +319,57 @@ def _row_gather(images: Sequence[np.ndarray]):
     return apply
 
 
+def _cut(pieces: Iterable[np.ndarray], room: int) -> list[np.ndarray]:
+    """The leading arrays of `pieces` that spell `room` letters, the last one
+    cut short; all of them when they spell fewer."""
+    kept = []
+    for piece in pieces:
+        if piece.size >= room:
+            kept.append(piece[:room])
+            break
+        kept.append(piece)
+        room -= piece.size
+    return kept
+
+
 def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
     """First `length` >= 0 letters of the fixed point of the morphism given
     by `images`, prolongable on letter 0, built in place in one buffer.
 
-    Uses the telescoping factorization  s = 0 . x . f(x) . f^2(x) ...
-    where images[0] = 0 . x: each round reads its block as a view
-    out[lo:total] and writes the block's image straight after it, all rounds
-    by one _row_gather kernel. The buffer holds length + max|image| letters,
-    so each round stops once the requested length is reached. A stationary
-    block (f(x) = x) means the tail is x^omega, tiled by doubling copies of
-    the filled periodic part: linear growth stays O(length). The result is a
-    view of the buffer.
+    Round t turns the buffer's f^t(0) into f^(t+1)(0) = f^t(0) followed by
+    the blocks f^t(c) of the letters c of images[0][1:]. Letter 0's block
+    is the buffer itself; every other letter keeps its block, and the next
+    one is the np.concatenate of the blocks of its image, cut at the letters
+    still to be written (no later round reads further into a block). While
+    those blocks hold at most `length` bytes in all, a round is a handful
+    of slice copies. Past that (a lift with many states), blocks are
+    dropped and each round is one _row_gather of the last round's tail
+    x_t = out[lo:total] written straight after it, as x_(t+1) = f(x_t),
+    the telescoping s = 0 . x . f(x) . f^2(x) ... of images[0] = 0 . x.
+    The buffer holds length + max|image| letters, so a round stops once the
+    requested length is reached. A tail equal to the last (f(x_t) = x_t)
+    means the rest is x_t^omega, tiled by doubling copies of the filled
+    periodic part: linear growth stays O(length). The result is a view of
+    the buffer.
     """
-    apply = _row_gather(images)
     head = images[0]
     out = np.empty(length + max(im.size for im in images), dtype=head.dtype)
     out[: head.size] = head
     lo, total = 1, int(head.size)
+    counts = np.array([np.bincount(im, minlength=len(images)) for im in images],
+                      dtype=np.int64)
+    blocks: list[np.ndarray] | None = list(images)  # f^t(c), cut; None past the bound
+    apply = None
     while total < length:
-        written, consumed = apply(out[lo:total], out[total:])
-        filled = total + written
-        if consumed == written == total - lo and np.array_equal(
+        if blocks is not None:
+            blocks[0] = out[:total]
+            pieces = _cut((blocks[c] for c in head[1:].tolist()), length - total)
+            filled = total + sum(piece.size for piece in pieces)
+            np.concatenate(pieces, out=out[total:filled])
+        else:
+            written, _ = apply(out[lo:total], out[total:])
+            filled = total + written
+        if filled < length and filled - total == total - lo and np.array_equal(
             out[lo:total], out[total:filled]
         ):
             while filled < length:
@@ -343,6 +377,15 @@ def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
                 out[filled : filled + n] = out[lo : lo + n]
                 filled += n
             break
+        if blocks is not None and filled < length:
+            sizes = np.minimum(counts @ [b.size for b in blocks], length - filled)
+            if sizes[1:].sum() * out.itemsize <= length:
+                blocks[1:] = [
+                    np.concatenate(_cut((blocks[d] for d in images[c].tolist()), sizes[c]))
+                    for c in range(1, len(images))
+                ]
+            else:
+                blocks, apply = None, _row_gather(images)
         lo, total = total, filled
     return out[:length]
 

@@ -83,3 +83,40 @@ def test_seeds_and_workloads_are_kept_apart():
     y = rows[1, "y", "wall_s"]
     assert y["pairs"] == 2 and y["change_wins"] == 1
     assert y["parent"]["median"] == 6.0 and y["change"]["median"] == 6.0
+
+
+def hashed(pair, side, sha, seed=1, workload="w"):
+    return {**run(pair, side, 1.0, seed=seed, workload=workload), "report_sha256": sha}
+
+
+def test_hash_equal_when_every_pair_agrees():
+    runs = [hashed(p, s, "abc") for p in range(3) for s in ("parent", "change")]
+    rows = bench_pairs.summarize(runs, BETTER)
+    assert rows and all(r["hash_equal"] for r in rows)
+    assert bench_pairs.hash_mismatches(runs) == []
+
+
+def test_one_differing_pair_clears_hash_equal_and_is_named():
+    runs = [hashed(0, "parent", "abc"), hashed(0, "change", "abc"),
+            hashed(1, "parent", "abc"), hashed(1, "change", "def")]
+    rows = bench_pairs.summarize(runs, BETTER)
+    assert [r["hash_equal"] for r in rows] == [False, False]
+    assert bench_pairs.hash_mismatches(runs) == [
+        {"seed": 1, "workload": "w", "pair": 1, "parent": "abc", "change": "def"}]
+
+
+def test_hashes_are_compared_within_a_seed_and_workload():
+    # Different workloads write different reports; only the two sides of
+    # one pair are compared, and a run with no partner is not a mismatch.
+    runs = [hashed(0, "parent", "x1", workload="x"), hashed(0, "change", "x1", workload="x"),
+            hashed(0, "parent", "y1", workload="y"), hashed(0, "change", "y1", workload="y"),
+            hashed(1, "change", "zz", workload="y")]
+    assert bench_pairs.hash_mismatches(runs) == []
+    assert all(r["hash_equal"] for r in bench_pairs.summarize(runs, BETTER))
+
+
+def test_a_dropped_pair_does_not_clear_hash_equal():
+    runs = [hashed(0, "parent", "abc"), hashed(0, "change", "abc"),
+            hashed(1, "parent", "abc")]
+    rows = bench_pairs.summarize(runs, BETTER)
+    assert rows and all(r["hash_equal"] and r["pairs"] == 1 for r in rows)

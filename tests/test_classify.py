@@ -21,6 +21,7 @@ from abmorph import (
     fixed_point_prefix,
     imbalance_at,
     imbalance_evidence,
+    letter_frequencies,
     parse_morphism,
     special_form_exponents,
     square,
@@ -359,3 +360,17 @@ class TestBoundsCheckedOnConstruction:
         opts = ClassifyOptions(eventual_k_max=0, eventual_offset_budget=0,
                                max_configurations=0, max_preperiod=0, max_period=1)
         assert classify(parse_morphism(text), opts).answer is not None
+
+
+class TestRouteFrequencies:
+    """classify takes the frequencies from the incidence matrix it already
+    built; they are the ones letter_frequencies(f) reports."""
+
+    def test_frequencies_equal_letter_frequencies(self, corpus, rng):
+        texts = [entry.text for entry in corpus]
+        texts += [random_morphism(rng).to_text() for _ in range(40)]
+        for text in texts:
+            f = parse_morphism(text)
+            v = classify(f, ClassifyOptions(eventual_offset_budget=100))
+            if v.spectral.primitive:
+                assert v.frequencies == letter_frequencies(f), text

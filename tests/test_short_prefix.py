@@ -1,0 +1,243 @@
+"""The two kernels under every short-prefix scan: prefix expansion by block
+concatenation (words._expand_rounds, reached through _expand_prefix below
+_BLOCK_FROM letters) and the prefix a-counts taken eight letters per word
+(analysis._prefix_counts). Both are checked against naive references, and
+their peak memory is pinned with tracemalloc."""
+
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from abmorph import (
+    Word,
+    build_lift,
+    fixed_point_prefix,
+    lift_fixed_prefix,
+    matrix_of,
+    parse_morphism,
+    rank1_decompose,
+)
+from abmorph.analysis import _COUNT_CHUNK, _prefix_counts
+from abmorph.words import _BLOCK_FROM, _expand_prefix
+from conftest import random_morphism, random_rank1_morphism
+from oracles import naive_apply, naive_fixed_point, naive_fixed_point_codes
+
+NAIVE_MAX = 3000  # longest prefix built by the naive references
+ROUNDS = 30  # block lengths |f^t(a)| tried, t = 1 .. ROUNDS
+
+
+def _lengths(block_lengths: list[int]) -> list[int]:
+    """0, 1 and |f^t(a)| - 1, |f^t(a)|, |f^t(a)| + 1 for the first ROUNDS
+    block lengths up to NAIVE_MAX."""
+    out = {0, 1}
+    for n in block_lengths[:ROUNDS]:
+        if n > NAIVE_MAX:
+            break
+        out.update((n - 1, n, n + 1))
+    return sorted(out)
+
+
+def _binary_lengths(ia: str, ib: str) -> list[int]:
+    sizes, w = [], "a"
+    for _ in range(ROUNDS):
+        w = naive_apply(ia, ib, w)
+        sizes.append(len(w))
+        if len(w) > NAIVE_MAX:
+            break
+    return _lengths(sizes)
+
+
+def _table_lengths(images: list[list[int]]) -> list[int]:
+    sizes, w = [], [0]
+    while len(w) <= NAIVE_MAX and len(sizes) < ROUNDS:
+        w = [c for s in w for c in images[s]]
+        sizes.append(len(w))
+    return _lengths(sizes)
+
+
+def _check_binary(text: str) -> None:
+    f = parse_morphism(text)
+    ia, ib = str(f.image_a), str(f.image_b)
+    images = [f.image_a.data, f.image_b.data]
+    want = naive_fixed_point(ia, ib, NAIVE_MAX + 1)
+    for n in _binary_lengths(ia, ib):
+        got = _expand_prefix(images, n)
+        assert got.dtype == np.uint8
+        assert str(Word(got)) == want[:n], (text, n)
+
+
+class TestExpandAgainstNaive:
+    """_expand_prefix below _BLOCK_FROM is _expand_rounds: block
+    concatenation while the blocks are small, row gathers past that."""
+
+    def test_seeded_binary_morphisms(self, rng):
+        for _ in range(150):
+            f = random_morphism(rng, max_len=rng.choice([3, 5, 9]))
+            if f.lengths() != (1, 1):
+                _check_binary(f.to_text())
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 7, 300])
+    def test_linear_growth(self, j):
+        _check_binary(f"a->a{'b' * j}; b->b")
+
+    @pytest.mark.parametrize("text", ["a->ab; b->a", "a->aab; b->a", "a->abb; b->a",
+                                      "a->abab; b->a", "a->aba; b->a"])
+    def test_b_maps_to_a(self, text):
+        _check_binary(text)
+
+    @pytest.mark.parametrize("text", ["a->ab; b->ba", "a->ab; b->bbaa", "a->aab; b->b",
+                                      "a->abbb; b->aab", "a->abbbbbba; b->b"])
+    def test_named_morphisms(self, text):
+        _check_binary(text)
+
+    def test_skewed_images_give_a_periodic_prefix(self):
+        # a->a b^300 a; b->b: f^omega(a) = (a b^300)^omega. A round appends
+        # 300 one-letter blocks and a copy of the prefix.
+        f = parse_morphism("a->a" + "b" * 300 + "a; b->b")
+        n = 10**6
+        unit = np.array([0] + [1] * 300, dtype=np.uint8)
+        want = np.tile(unit, -(-n // unit.size))[:n]
+        assert np.array_equal(fixed_point_prefix(f, n).data, want)
+
+    def test_seeded_rank1_lift_tables(self, rng):
+        # Lift tables are k-uniform over many int32 states; their blocks
+        # outgrow the concatenation bound, so the last rounds are row gathers.
+        for _ in range(25):
+            f = random_rank1_morphism(rng)
+            form = rank1_decompose(matrix_of(f))
+            if form.trace < 2:
+                continue
+            lift = build_lift(f, form)
+            table = [list(row) for row in lift.images]
+            want = naive_fixed_point_codes(table, NAIVE_MAX + 1)
+            for n in _table_lengths(table):
+                got = lift_fixed_prefix(lift, n)
+                assert got.dtype == np.int32
+                assert got.tolist() == want[:n], (f.to_text(), n)
+
+    def test_seeded_int32_tables(self):
+        # Random tables over 3-40 letters, prolongable on letter 0 and
+        # growing, with images of different lengths.
+        rng = random.Random(19)
+        for _ in range(60):
+            size = rng.randint(3, 40)
+            table = [[rng.randrange(size) for _ in range(rng.randint(1, 4))]
+                     for _ in range(size)]
+            table[0] = [0] + [rng.randrange(1, size) for _ in range(rng.randint(1, 3))]
+            images = [np.array(row, dtype=np.int32) for row in table]
+            want = naive_fixed_point_codes(table, NAIVE_MAX + 1)
+            if len(want) <= NAIVE_MAX:
+                continue  # stops growing before NAIVE_MAX letters
+            for n in _table_lengths(table):
+                got = _expand_prefix(images, n)
+                assert got.dtype == np.int32
+                assert got.tolist() == want[:n], (table, n)
+
+
+class TestExpandMemory:
+    """Letter 0's block is the output buffer; the other blocks are cut at
+    the letters still to be written, and concatenated only while they hold
+    at most `length` bytes."""
+
+    @pytest.mark.parametrize("text", ["a->ab; b->ba", "a->ab; b->a", "a->ab; b->bbaa"])
+    def test_fixed_point_prefix_at_1e5(self, text):
+        # The buffer is 1 byte per letter, the last two rounds' blocks
+        # 0.6-0.9; the row-gather rounds peaked at 5.6-6.8.
+        f = parse_morphism(text)
+        n = 10**5
+        tracemalloc.start()
+        try:
+            word = fixed_point_prefix(f, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == n
+        assert peak / n <= 2.5
+
+    @pytest.mark.parametrize("text,n", [("a->ab; b->ba", 2**16 + 1),
+                                        ("a->ab; b->bbaa", 2 * 3**9 + 1)])
+    def test_blocks_are_cut_one_letter_past_a_power(self, text, n):
+        # n is one letter past |f^t(a)|: the last blocks built are cut to that
+        # one letter (1.79 and 1.93 bytes per letter); whole blocks of
+        # f^t(b) would read 2.54 and 2.72.
+        f = parse_morphism(text)
+        tracemalloc.start()
+        try:
+            fixed_point_prefix(f, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 2.2
+
+    def test_lift_prefix_below_the_block_switch(self):
+        # Six int32 states, 4 bytes each, and blocks for the five other
+        # states: bounded by `length` letters they peaked at 7.9 bytes per
+        # letter; bounded by `length` bytes, at 5.3.
+        f = parse_morphism("a->ab; b->bbaa")
+        lift = build_lift(f, rank1_decompose(matrix_of(f)))
+        n = 4 * 10**5
+        assert n < _BLOCK_FROM
+        tracemalloc.start()
+        try:
+            states = lift_fixed_prefix(lift, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.size == n
+        assert peak / n <= 6
+
+
+def _naive_counts(arr: np.ndarray, longest: int) -> tuple[list[int], int]:
+    """Exact a-counts of every prefix of arr, and the width in bits that
+    _prefix_counts keeps them modulo."""
+    bits = 8
+    while longest >= 2**bits:
+        bits *= 2
+    exact = np.concatenate([[0], np.cumsum(arr == 0, dtype=np.int64)])
+    return [int(c) % 2**bits for c in exact], bits
+
+
+class TestPrefixCountsAgainstCumsum:
+    """Eight letters per <u8 word, word totals summed by np.cumsum."""
+
+    @pytest.mark.parametrize("longest", [255, 256, 65535, 65536])
+    def test_every_short_length(self, longest):
+        rng = np.random.default_rng(longest)
+        for n in range(18):
+            for arr in (rng.integers(0, 2, n).astype(np.uint8), np.zeros(n, np.uint8),
+                        np.ones(n, np.uint8)):
+                want, bits = _naive_counts(arr, longest)
+                got = _prefix_counts(arr, longest)
+                assert got.dtype == np.dtype(f"uint{bits}")
+                assert got.tolist() == want, (n, arr.tolist())
+
+    @pytest.mark.parametrize("longest", [255, 256, 65535, 65536, None])
+    def test_lengths_off_a_word_and_a_pass(self, longest):
+        rng = np.random.default_rng(7)
+        for n in (9, 63, 1001, _COUNT_CHUNK - 1, _COUNT_CHUNK + 1, 2 * _COUNT_CHUNK + 13):
+            arr = rng.integers(0, 2, n).astype(np.uint8)
+            want, _ = _naive_counts(arr, n if longest is None else longest)
+            assert _prefix_counts(arr, longest).tolist() == want, n
+
+    def test_counts_wrap_past_the_width(self):
+        # All a's: uint8 counts pass 255 inside a word and across passes.
+        arr = np.zeros(3 * _COUNT_CHUNK + 5, dtype=np.uint8)
+        want, _ = _naive_counts(arr, 255)
+        assert _prefix_counts(arr, 255).tolist() == want
+
+    def test_int32_input(self):
+        # Any integer codes: only code 0 counts.
+        rng = np.random.default_rng(3)
+        arr = rng.integers(0, 5, 1003).astype(np.int32)
+        for longest in (255, 65536):
+            want, _ = _naive_counts(arr, longest)
+            assert _prefix_counts(arr, longest).tolist() == want
+
+    def test_views_that_are_not_word_aligned(self):
+        rng = np.random.default_rng(4)
+        base = rng.integers(0, 2, 2 * _COUNT_CHUNK + 40).astype(np.uint8)
+        for arr in (base[3:], base[::3], base[5:-7]):
+            want, _ = _naive_counts(arr, 300)
+            assert _prefix_counts(arr, 300).tolist() == want
