@@ -7,6 +7,8 @@ procedures, not proofs: everything here sees only the supplied prefix.
 from __future__ import annotations
 
 import io
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +48,10 @@ def _as_array(source) -> np.ndarray:
 
 _ONES = np.uint64(0x0101010101010101)  # times a word: each byte sums the bytes up to it
 _COUNT_CHUNK = 2**18  # letters per pass of _prefix_counts: bounds its temporaries
+_TAIL_ROWS = 24  # disagreement rows per period read by the oracle's tail pass
+_TAIL_BYTES = 2**18  # gathered counts per tail block: bounds its temporaries
+_TAIL_TOP = 2**10  # widest period of the tail pass: wider ones cost less in _first_start
+_TAIL_GROW = 4  # a tail block from period lo ends by period _TAIL_GROW * lo
 
 
 def _prefix_counts(arr: np.ndarray, longest: int | None = None) -> np.ndarray:
@@ -130,6 +136,13 @@ def abelian_period_oracle(source, max_period: int, max_preperiod: int):
     of the class j mod p. These disagreements are read tail first, and p is
     dropped once every class has one past the limit; only when some class
     is still alive there is the head read.
+
+    Before a period reaches that per-period read, one tail pass tests it
+    together with a block of neighbouring periods: when every class of p
+    disagrees within its last _TAIL_ROWS rows, and these lie past the
+    loosest limit p can meet, p is dropped with no read of its own. Blocks
+    are gathered as the loop reaches them, with a bounded number of counts
+    each, so a search that ends at a small period builds one small block.
     """
     arr = _as_array(source)
     if max_period < 1 or max_preperiod < 0:
@@ -141,17 +154,69 @@ def abelian_period_oracle(source, max_period: int, max_preperiod: int):
         )
     counts = _prefix_counts(arr, max_period)
     n = arr.size
+    drops = _tail_drops(counts, max_period, max_preperiod)
     best = None
     limit = max_preperiod
     for p in range(1, max_period + 1):
         limit = min(limit, n - 2 * p)  # two complete blocks after r
         if limit < 0:
             break
+        if next(drops):
+            continue
         start = _first_start(counts, p, limit)
         if start is not None:
             best = AbelianPeriodWitness(start, p, n)
             limit = start - 1
     return best
+
+
+def _tail_drops(counts: np.ndarray, max_period: int, max_preperiod: int):
+    """For p = 1 .. max_period in turn: True when every residue class of p
+    disagrees within the last _TAIL_ROWS rows of p, and those rows lie past
+    min(max_preperiod, n - 2p) - p. Then _first_start(counts, p, limit) is
+    None at that limit and at any lower one.
+
+    The periods are tested in blocks, each built when its first period is
+    asked for: from period lo, up to _TAIL_GROW * lo, and only as many as keep
+    the block's gathered counts within _TAIL_BYTES. Periods past _TAIL_TOP,
+    or whose rows do not fit past that limit, yield False."""
+    n = counts.size - 1
+    rows = _TAIL_ROWS + 2  # counts per class: rows - 1 windows
+    cap = _TAIL_BYTES // (rows * counts.itemsize)  # periods times width, per block
+    # the rows read start at n - rows * p + 1: past max_preperiod - p, and >= 0
+    top = min(max_period, _TAIL_TOP, cap, (n - max_preperiod) // (rows - 1), (n + 1) // rows)
+    lo = 1
+    while lo <= top:
+        a = lo - 1
+        fit = (a + math.isqrt(a * a + 4 * cap)) // 2  # fit * (fit - a) <= cap
+        hi = min(top, _TAIL_GROW * lo, fit)
+        yield from _dead_in_tail(counts, lo, hi).tolist()
+        lo = hi + 1
+    yield from itertools.repeat(False, max_period - top)
+
+
+def _dead_in_tail(counts: np.ndarray, lo: int, top: int) -> np.ndarray:
+    """Entry p - lo, for p in [lo, top]: does every residue class of p
+    disagree within the last _TAIL_ROWS rows of p?
+
+    Let X[k, c] = counts[-1 - c - k * p]. The length-p window that ends
+    c + k * p letters before the end holds X[k, c] - X[k + 1, c] a's, and
+    class c disagrees in row k when that differs from the count of the
+    window before it. One gather reads X for every period of the block from
+    a sliding view of width top over the last (_TAIL_ROWS + 2) * top
+    counts: column top - 1 - c holds class c, and the columns of classes
+    c >= p count as disagreeing. Wrapping subtraction in the counts' dtype
+    is exact, as no window holds more than top < 2^w letters."""
+    rows = _TAIL_ROWS + 2
+    ps = np.arange(lo, top + 1)
+    tail = counts[counts.size - rows * top :]
+    view = np.ndarray((tail.size - top + 1, top), tail.dtype, tail, strides=2 * tail.strides)
+    x = view[(rows - 1) * top - np.arange(rows)[:, None] * ps]
+    win = x[:-1] - x[1:]
+    del x  # at most two gathered blocks are held at once
+    hit = (win[:-1] != win[1:]).any(axis=0)
+    hit |= np.arange(top) < top - ps[:, None]
+    return hit.all(axis=1)
 
 
 def _differs(counts: np.ndarray, p: int, lo: int, hi: int) -> np.ndarray:

@@ -3,9 +3,13 @@
 Everything here works on plain Python strings with quadratic-or-worse
 algorithms.  Slow on purpose: the point is that each function is short
 enough to audit by eye, so disagreement with the library is a library bug.
+The one exception is scan_abelian_period, a numpy scan with no early exit
+for prefixes too long for the string references.
 """
 
 from math import gcd
+
+import numpy as np
 
 
 def naive_apply(image_a: str, image_b: str, u: str) -> str:
@@ -59,6 +63,33 @@ def naive_abelian_period(w: str, max_period: int, max_preperiod: int):
             if naive_is_abelian_period(w, r, p):
                 return r, p
     return None
+
+
+def scan_abelian_period(codes, max_period: int, max_preperiod: int):
+    """naive_abelian_period on an array of letter codes (0 is a), from every
+    disagreement of every period.
+
+    A start r of period p is good when r <= n - 2p and the length-p windows
+    at r, r + p, ... that fit hold equally many a's: windows at j and j + p
+    agree for every j >= r of r's class mod p. Laid out in rows of p, a
+    class is a column, and a reversed running OR down each column marks
+    the starts that have a disagreement at or after them."""
+    counts = np.concatenate([[0], np.cumsum(np.asarray(codes) == 0, dtype=np.int64)])
+    n = counts.size - 1
+    best = None
+    for p in range(1, max_period + 1):
+        last = min(max_preperiod, n - 2 * p)
+        if last < 0:
+            continue
+        win = counts[p:] - counts[:-p]  # the window at each j <= n - p
+        bad = win[:-p] != win[p:]  # the disagreement at each j <= n - 2p
+        grid = np.zeros(-(-bad.size // p) * p, dtype=bool)
+        grid[: bad.size] = bad
+        later = np.logical_or.accumulate(grid.reshape(-1, p)[::-1], axis=0)[::-1]
+        good = np.flatnonzero(~later.ravel()[: last + 1])
+        if good.size and (best is None or good[0] < best[0]):
+            best = (int(good[0]), p)
+    return best
 
 
 def naive_complexity(w: str, n: int) -> int:
