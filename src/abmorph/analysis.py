@@ -65,10 +65,11 @@ def _prefix_counts(arr: np.ndarray, longest: int | None = None) -> np.ndarray:
     one <u8 word, and multiplying it by 0x0101010101010101 leaves in each
     byte the marks up to it (at most 8, so no byte carries into the next).
     The top byte is the word's total; np.cumsum runs over those totals only,
-    and each word's offset is added to its eight bytes. The letters are read
-    in passes of _COUNT_CHUNK, so the temporaries stay under a few
-    _COUNT_CHUNK bytes next to the counts; a tail of under 8 letters is
-    summed directly."""
+    and each word's offset is added to its eight bytes in one flat np.add,
+    the offsets spread eight apiece: one-byte offsets by the same multiply,
+    wider ones by np.repeat. The letters are read in passes of _COUNT_CHUNK,
+    so the temporaries stay under a few _COUNT_CHUNK bytes next to the
+    counts; a tail of under 8 letters is summed directly."""
     longest = arr.size if longest is None else longest
     bits = 8
     while longest >= 2**bits:
@@ -86,8 +87,11 @@ def _prefix_counts(arr: np.ndarray, longest: int | None = None) -> np.ndarray:
             starts = np.cumsum(totals, dtype=dtype)
             starts -= totals
             starts += counts[lo]
-            np.add(ups.view(np.uint8).reshape(words, 8), starts[:, None],
-                   out=counts[lo + 1 : mid + 1].reshape(words, 8))
+            if bits == 8:
+                spread = (starts.astype(np.uint64) * _ONES).view(np.uint8)
+            else:
+                spread = np.repeat(starts, 8)
+            np.add(ups.view(np.uint8), spread, out=counts[lo + 1 : mid + 1])
         if hi > mid:
             np.cumsum(arr[mid:hi] == 0, dtype=dtype, out=counts[mid + 1 : hi + 1])
             counts[mid + 1 : hi + 1] += counts[mid]

@@ -226,14 +226,25 @@ def imbalance_evidence(
     f: BinaryMorphism, horizon: int, target: int
 ) -> ImbalanceEvidence | None:
     """Scan window lengths on a geometric grid (ratio ~sqrt(2)) for a window
-    count spread reaching `target`; keep the best seen otherwise."""
+    count spread reaching `target`; keep the best seen otherwise.
+
+    Windows of up to 255 letters are read from one-byte prefix counts (a
+    window's count is exact under wrapping subtraction modulo 256); wider
+    counts are built only when the grid passes 255, so a target reached
+    within 255 letters (the golden refutations reach it at 5-16) never
+    builds them."""
     if horizon < 2:
         return None
-    counts = _prefix_counts(fixed_point_prefix(f, horizon).data, horizon // 2)
-    n = counts.size - 1
+    arr = fixed_point_prefix(f, horizon).data
+    n = arr.size
+    longest = 255
+    counts = _prefix_counts(arr, longest)
     best_len, best_im = 1, 0
     ell = 1
     while ell <= n // 2:
+        if ell > longest:
+            longest = n // 2
+            counts = _prefix_counts(arr, longest)
         im = _window_spread(counts, ell)
         if im > best_im:
             best_len, best_im = ell, im

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import BinaryMorphism, Word, border_table, fixed_point_prefix
+from .words import BinaryMorphism, Word, fixed_point_prefix
 
 __all__ = [
     "PeriodicityVerdict",
@@ -90,6 +90,14 @@ def _check_search_bounds(max_period: int | None, max_preperiod: int | None) -> N
         raise ValueError("bounds must allow at least one candidate")
 
 
+def _smallest_period(s: bytes, bound: int) -> int | None:
+    """The smallest period of s when it is at most `bound`, else None, for s
+    of at least 2 * bound letters (decide_periodic's docstring has why).
+    s[p:] == s[:-p] is tested as s.startswith on a memoryview: no copy."""
+    p = s.find(s[:bound], 1, 2 * bound)
+    return p if p > 0 and s.startswith(memoryview(s)[p:]) else None
+
+
 def decide_periodic(
     f: BinaryMorphism,
     max_period: int | None = None,
@@ -98,8 +106,17 @@ def decide_periodic(
     """Search for (u, w) with f^omega(a) = u w^omega, |u| <= max_preperiod,
     |w| <= max_period and u shortest.
 
-    p is the smallest period of the 4 max_period letters after max_preperiod;
-    u ends at the last letter before them that breaks it, w is the p letters
+    p is the smallest period of the tail s, the 4 max_period letters after
+    max_preperiod, found by one bytes.find: p = s.find(s[:max_period], 1),
+    kept when p <= max_period and s[p:] == s[:-p]. Let q <= max_period be
+    the smallest period; then s[:max_period] occurs at q. An occurrence at
+    some p < q would give s[:p + max_period] the periods p and q, hence by
+    Fine-Wilf (its length is at least p + q) the period g = gcd(p, q); g
+    divides q, so s would have the period g < q. The find therefore returns
+    q; and when the smallest period exceeds max_period, whatever the find
+    returns fails the check.
+
+    u ends at the last letter before s that breaks p, w is the p letters
     after u. A fixed point u w^omega with w primitive has p dividing |f(w)|,
     as f(w)^omega and w^omega share a suffix; only then is the exact
     f(u) f(w)^omega = u w^omega checked, so "periodic" verdicts are proofs."""
@@ -109,9 +126,8 @@ def decide_periodic(
     max_p = bound if max_period is None else max_period
     max_r = bound if max_preperiod is None else max_preperiod
     arr = fixed_point_prefix(f, max_r + 4 * max_p).data
-    tail = Word(arr[max_r:])
-    p = len(tail) - border_table(tail)[-1]
-    if p <= max_p:
+    p = _smallest_period(arr[max_r:].tobytes(), max_p)
+    if p is not None:
         breaks = np.flatnonzero(arr[:max_r] != arr[p : max_r + p])
         r = int(breaks[-1]) + 1 if len(breaks) else 0
         u, w = Word(arr[:r]), Word(arr[r : r + p])

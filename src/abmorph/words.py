@@ -7,23 +7,23 @@ letters, copied into one buffer of exactly `length` letters in the order of
 a short head of s, the blocks built by row gathers from a padded image
 table, each under _CHUNK letters. Short prefixes, and morphisms with a
 letter that stops growing, are built in place by rounds: f^(t+1)(a) is
-f^t(a) followed by slice copies of the blocks f^t(c) of the letters of
-f(a)[1:], each next block one np.concatenate of the blocks of its image
-(row gathers instead once the blocks would pass `length` bytes, as in a
-lift with many states). The tracemalloc peak at 1e5 letters is 1.70 bytes
-per letter for Thue-Morse, 1.56 for Fibonacci and 1.89 for a->ab; b->bbaa
-(the buffer and the last two rounds' blocks); at 1e7 letters it is 1.05,
-1.09 and 1.11 (the blocks and the gather temporaries, next to the buffer),
-and 1.01-1.02 at 1e8 letters. Counting is exact.
+f^t(a) followed by one np.concatenate of the blocks f^t(c) of the letters
+of f(a)[1:], each next block one np.concatenate of the blocks of its image,
+all sized in Python ints (row gathers instead once the blocks would pass
+`length` bytes, as in a lift with many states). The tracemalloc peak at 1e5
+letters is 1.70 bytes per letter for Thue-Morse, 1.56 for Fibonacci and
+1.89 for a->ab; b->bbaa (the buffer and the last two rounds' blocks); at
+1e7 letters it is 1.05, 1.09 and 1.11 (the blocks and the gather
+temporaries, next to the buffer), and 1.01-1.02 at 1e8 letters. Counting is
+exact.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -319,17 +319,22 @@ def _row_gather(images: Sequence[np.ndarray]):
     return apply
 
 
-def _cut(pieces: Iterable[np.ndarray], room: int) -> list[np.ndarray]:
-    """The leading arrays of `pieces` that spell `room` letters, the last one
-    cut short; all of them when they spell fewer."""
-    kept = []
-    for piece in pieces:
-        if piece.size >= room:
-            kept.append(piece[:room])
+def _copy_blocks(out: np.ndarray, pos: int, end: int, blocks: list[np.ndarray],
+                 sizes: list[int], letters: list[int]) -> int:
+    """Copy the blocks of `letters` into out from pos, in order, stopping at
+    end (the last block copied is cut short there); return where it stopped.
+    Blocks that all fit are one np.concatenate; only a cut is a slice loop."""
+    stop = pos + sum(map(sizes.__getitem__, letters))
+    if stop <= end:
+        np.concatenate([blocks[c] for c in letters], out=out[pos:stop])
+        return stop
+    for c in letters:
+        n = min(sizes[c], end - pos)
+        out[pos : pos + n] = blocks[c][:n]
+        pos += n
+        if pos == end:
             break
-        kept.append(piece)
-        room -= piece.size
-    return kept
+    return pos
 
 
 def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
@@ -339,13 +344,15 @@ def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
     Round t turns the buffer's f^t(0) into f^(t+1)(0) = f^t(0) followed by
     the blocks f^t(c) of the letters c of images[0][1:]. Letter 0's block
     is the buffer itself; every other letter keeps its block, and the next
-    one is the np.concatenate of the blocks of its image, cut at the letters
+    one is its image's blocks copied into one array, cut at the letters
     still to be written (no later round reads further into a block). While
-    those blocks hold at most `length` bytes in all, a round is a handful
-    of slice copies. Past that (a lift with many states), blocks are
-    dropped and each round is one _row_gather of the last round's tail
-    x_t = out[lo:total] written straight after it, as x_(t+1) = f(x_t),
-    the telescoping s = 0 . x . f(x) . f^2(x) ... of images[0] = 0 . x.
+    those blocks hold at most `length` bytes in all, a round is one
+    np.concatenate per block, sized from the images as lists and the block
+    sizes as Python ints; only a block cut at `length` is a slice loop.
+    Past that (a lift with many states), blocks are dropped and each round
+    is one _row_gather of the last round's tail x_t = out[lo:total] written
+    straight after it, as x_(t+1) = f(x_t), the telescoping
+    s = 0 . x . f(x) . f^2(x) ... of images[0] = 0 . x.
     The buffer holds length + max|image| letters, so a round stops once the
     requested length is reached. A tail equal to the last (f(x_t) = x_t)
     means the rest is x_t^omega, tiled by doubling copies of the filled
@@ -356,16 +363,15 @@ def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
     out = np.empty(length + max(im.size for im in images), dtype=head.dtype)
     out[: head.size] = head
     lo, total = 1, int(head.size)
-    counts = np.array([np.bincount(im, minlength=len(images)) for im in images],
-                      dtype=np.int64)
+    rows = [im.tolist() for im in images]
+    tail = rows[0][1:]
     blocks: list[np.ndarray] | None = list(images)  # f^t(c), cut; None past the bound
+    sizes = [len(row) for row in rows]
     apply = None
     while total < length:
         if blocks is not None:
-            blocks[0] = out[:total]
-            pieces = _cut((blocks[c] for c in head[1:].tolist()), length - total)
-            filled = total + sum(piece.size for piece in pieces)
-            np.concatenate(pieces, out=out[total:filled])
+            blocks[0], sizes[0] = out[:total], total
+            filled = _copy_blocks(out, total, length, blocks, sizes, tail)
         else:
             written, _ = apply(out[lo:total], out[total:])
             filled = total + written
@@ -378,12 +384,13 @@ def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
                 filled += n
             break
         if blocks is not None and filled < length:
-            sizes = np.minimum(counts @ [b.size for b in blocks], length - filled)
-            if sizes[1:].sum() * out.itemsize <= length:
-                blocks[1:] = [
-                    np.concatenate(_cut((blocks[d] for d in images[c].tolist()), sizes[c]))
-                    for c in range(1, len(images))
-                ]
+            room = length - filled
+            grown = [min(sum(map(sizes.__getitem__, row)), room) for row in rows[1:]]
+            if sum(grown) * out.itemsize <= length:
+                nxt = [np.empty(n, dtype=out.dtype) for n in grown]
+                for block, n, row in zip(nxt, grown, rows[1:]):
+                    _copy_blocks(block, 0, n, blocks, sizes, row)
+                blocks[1:], sizes[1:] = nxt, grown
             else:
                 blocks, apply = None, _row_gather(images)
         lo, total = total, filled
@@ -483,30 +490,16 @@ def power_lengths(f: BinaryMorphism, t: int) -> tuple[int, int]:
     return matrix_of(f).pow(t).column_sums()
 
 
-def border_table(u: Word) -> array:
-    """The classic border function: entry i is the length of the longest
-    proper border of u[:i+1]. Stored as C ints, 4 bytes per letter."""
-    s = u.data.tobytes()
-    border = array("i", [0]) * len(s)
-    k = 0
-    for i in range(1, len(s)):
-        c = s[i]
-        while k and c != s[k]:
-            k = border[k - 1]
-        if c == s[k]:
-            k += 1
-        border[i] = k
-    return border
-
-
 def primitive_root(u: Word | str) -> Word:
-    """Shortest w with u = w^k; computed from the classic border function."""
+    """Shortest w with u = w^k: u[:i] for the least i >= 1 at which u occurs
+    in uu. u equals its rotation by i exactly when u is a power of a word of
+    gcd(i, |u|) letters, so that least i divides |u| (i = |u| when u is
+    primitive)."""
     u = Word.of(u)
-    n = len(u)
-    if n == 0:
+    if len(u) == 0:
         return u
-    p = n - border_table(u)[-1]
-    return u[:p] if n % p == 0 else u
+    s = u.data.tobytes()
+    return u[: (s + s).find(s, 1)]
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,11 @@ def naive_decide_periodic(image_a: str, image_b: str, max_period: int,
     return None
 
 
+def naive_smallest_period(s: bytes) -> int:
+    """Least p >= 1 with s[p:] == s[:-p]; len(s) when there is none shorter."""
+    return next(p for p in range(1, len(s) + 1) if s[p:] == s[:-p])
+
+
 def naive_fixed_point_codes(images: list[list[int]], length: int) -> list[int]:
     # Letters are list indices; requires images[0] to start with 0 and to
     # grow, so that the loop reaches `length`.

@@ -374,3 +374,41 @@ class TestRouteFrequencies:
             v = classify(f, ClassifyOptions(eventual_offset_budget=100))
             if v.spectral.primitive:
                 assert v.frequencies == letter_frequencies(f), text
+
+
+class TestEvidencePastByteWindows:
+    """imbalance_evidence reads windows of up to 255 letters from one-byte
+    counts and builds wider counts only when its grid passes 255."""
+
+    @staticmethod
+    def _scan(f, horizon, target):
+        # The geometric scan, one imbalance_at call per window length.
+        prefix = fixed_point_prefix(f, horizon)
+        best = (1, 0)
+        ell = 1
+        while ell <= horizon // 2:
+            im = imbalance_at(prefix, ell)
+            if im > best[1]:
+                best = (ell, im)
+                if im >= target:
+                    return ell, im, True
+            ell = max(ell + 1, (ell * 181) // 128)
+        return best + (False,)
+
+    # a->abb; b->baab has windows past 255 whose a-counts straddle a multiple
+    # of 256: one-byte counts there would read a spread of 255 at 5254.
+    @pytest.mark.parametrize("text, window", [("a->abaa; b->baab", 466),
+                                              ("a->aaaba; b->abaab", 3716),
+                                              ("a->abb; b->baab", 10505)])
+    def test_matches_window_scan_at_1e5(self, text, window):
+        f = parse_morphism(text)
+        ev = imbalance_evidence(f, 10**5, 4)
+        assert (ev.window_length, ev.imbalance, ev.reached) == self._scan(f, 10**5, 4)
+        assert ev.window_length == window
+
+    def test_unreached_target_scans_every_width(self):
+        # Thue-Morse never passes imbalance 2: the grid runs to horizon / 2.
+        f = parse_morphism("a->ab; b->ba")
+        ev = imbalance_evidence(f, 10**5, 4)
+        assert (ev.window_length, ev.imbalance, ev.reached) == self._scan(f, 10**5, 4)
+        assert not ev.reached

@@ -15,8 +15,9 @@ from abmorph import (
     periodic_prefix,
     validate_abelian_period,
 )
+from abmorph.periodic import _smallest_period
 from conftest import random_morphism
-from oracles import eventually_periodic_prefix, naive_decide_periodic
+from oracles import eventually_periodic_prefix, naive_decide_periodic, naive_smallest_period
 
 
 def W(s):
@@ -195,3 +196,42 @@ class TestDecidePeriodic:
 
         with pytest.raises(NotProlongableError):
             decide_periodic(parse_morphism("a->ba; b->ab"))
+
+
+class TestSmallestPeriodStep:
+    """decide_periodic's period step: one bytes.find over a tail of exactly
+    4 max_period letters, kept when it is a period (Fine-Wilf makes it the
+    smallest)."""
+
+    @staticmethod
+    def _tail(rng, pre: int, period: int, length: int) -> bytes:
+        u = bytes(rng.randrange(2) for _ in range(pre))
+        w = bytes(rng.randrange(2) for _ in range(period))
+        return (u + w * (length // period + 1))[:length]
+
+    def test_matches_naive_around_the_bound(self, rng):
+        for _ in range(1500):
+            max_p = rng.randint(1, 40)
+            period = max(1, max_p + rng.choice([-1, 0, 1]))
+            pre = rng.choice([0, 0, 1, 2, 5])
+            s = self._tail(rng, pre, period, 4 * max_p)
+            q = naive_smallest_period(s)
+            assert _smallest_period(s, max_p) == (q if q <= max_p else None), (s, max_p)
+
+    def test_matches_naive_on_short_periods(self, rng):
+        # Periods well below the bound, where an earlier occurrence of the
+        # needle could only come from a smaller period.
+        for _ in range(500):
+            max_p = rng.randint(2, 40)
+            s = self._tail(rng, rng.choice([0, 3]), rng.randint(1, max_p), 4 * max_p)
+            q = naive_smallest_period(s)
+            assert _smallest_period(s, max_p) == (q if q <= max_p else None), (s, max_p)
+
+    def test_skewed_linear_growth_is_pinned(self):
+        # f^omega(a) = (a b^300)^omega: the default search finds it at once,
+        # with no preperiod and the 301-letter period.
+        v = decide_periodic(parse_morphism("a->a" + "b" * 300 + "a; b->b"))
+        assert v.status == "periodic"
+        assert str(v.preperiod) == ""
+        assert len(v.period) == 301
+        assert str(v.period) == "a" + "b" * 300

@@ -20,7 +20,8 @@ from abmorph import (
     rank1_decompose,
 )
 from abmorph.analysis import _COUNT_CHUNK, _prefix_counts
-from abmorph.words import _BLOCK_FROM, _expand_prefix
+from abmorph import words
+from abmorph.words import _BLOCK_FROM, _expand_prefix, _expand_rounds
 from conftest import random_morphism, random_rank1_morphism
 from oracles import naive_apply, naive_fixed_point, naive_fixed_point_codes
 
@@ -241,3 +242,46 @@ class TestPrefixCountsAgainstCumsum:
         for arr in (base[3:], base[::3], base[5:-7]):
             want, _ = _naive_counts(arr, 300)
             assert _prefix_counts(arr, 300).tolist() == want
+
+    @pytest.mark.parametrize("longest, dtype", [(255, np.uint8), (65535, np.uint16),
+                                                (2**32 - 1, np.uint32)])
+    def test_each_width_against_cumsum(self, longest, dtype):
+        # The word offsets are spread by one multiply for bytes and by
+        # np.repeat for wider counts; lengths 8k - 1, 8k, 8k + 1 on both
+        # sides of a pass.
+        rng = np.random.default_rng(longest % 1000)
+        for n in sorted({8 * k + d for k in (1, 40, _COUNT_CHUNK // 8, _COUNT_CHUNK // 8 + 1)
+                         for d in (-1, 0, 1)}):
+            arr = rng.integers(0, 2, n).astype(np.uint8)
+            got = _prefix_counts(arr, longest)
+            want = np.concatenate([[0], np.cumsum(arr == 0, dtype=np.int64)])
+            assert got.dtype == dtype
+            assert np.array_equal(got, (want % (int(np.iinfo(dtype).max) + 1)).astype(dtype)), n
+
+
+class TestRoundsFallToRowGathers:
+    """Once the blocks of the other letters would pass `length` bytes,
+    _expand_rounds drops them and each round is a row gather of the last
+    tail. (Tiled linear growth, lift tables and lengths 0, 1 and |f(a)| are
+    checked through _expand_prefix above.)"""
+
+    def test_many_state_table(self, monkeypatch):
+        # 40 int32 states with 3-letter images: the blocks of the 39 other
+        # states soon hold more bytes than the prefix has letters.
+        rng = random.Random(21)
+        table = [[0, 1, 2]] + [[rng.randrange(40) for _ in range(3)] for _ in range(39)]
+        images = [np.array(row, dtype=np.int32) for row in table]
+        want = naive_fixed_point_codes(table, NAIVE_MAX)
+        gathers = []
+        real = words._row_gather
+
+        def counted(images):
+            gathers.append(len(images))
+            return real(images)
+
+        monkeypatch.setattr(words, "_row_gather", counted)
+        for n in (0, 1, 3, 4, 2000, NAIVE_MAX):
+            got = _expand_rounds(images, n)
+            assert got.dtype == np.int32
+            assert got.tolist() == want[:n], n
+        assert gathers
