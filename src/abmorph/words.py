@@ -400,16 +400,23 @@ def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
 _BLOCK_FROM = 2**19  # shorter prefixes are built by rounds alone
 
 
+def _stops_growing(rounds: Sequence[Sequence[int]], grown: Sequence[int]) -> bool:
+    """Whether some letter stops growing, given the sizes rounds[i][c] =
+    |f^i(c)| of rounds 0, ..., t - 1 and grown[c] = |f^t(c)|.
+
+    A letter c stops growing exactly when |f^t(c)| = |f^(t-n)(c)| for an
+    alphabet of n letters: n rounds without growth walk every letter of
+    f^(t-n)(c) through n + 1 single-letter images, so into a cycle of them."""
+    n = len(grown)
+    return len(rounds) >= n and any(g == r for g, r in zip(grown, rounds[-n]))
+
+
 def _block_rounds(images: Sequence[np.ndarray], length: int) -> list[np.ndarray] | None:
     """The sizes |f^i(c)| of every letter c for i = 0, ..., j, j the least
     round at which they all reach 16 sqrt(length) letters; or None when
     blocks do not pay: a short prefix, a letter that stops growing, j <= 1
     (the images are already that long), or blocks of over length / 8
-    letters in all, which also keeps the sizes far from overflow.
-
-    A letter c stops growing exactly when |f^t(c)| = |f^(t-n)(c)| for an
-    alphabet of n letters: n rounds without growth walk every letter of
-    f^(t-n)(c) through n + 1 single-letter images, so into a cycle of them."""
+    letters in all, which also keeps the sizes far from overflow."""
     if length < _BLOCK_FROM:
         return None
     n, target = len(images), 16 * math.isqrt(length)
@@ -417,7 +424,7 @@ def _block_rounds(images: Sequence[np.ndarray], length: int) -> list[np.ndarray]
     rounds = [np.ones(n, dtype=np.int64)]
     while rounds[-1].min() < target:
         grown = counts @ rounds[-1]
-        if grown.sum() > length // 8 or len(rounds) >= n and (grown == rounds[-n]).any():
+        if grown.sum() > length // 8 or _stops_growing(rounds, grown):
             return None
         rounds.append(grown)
     return rounds if len(rounds) > 2 else None

@@ -1,6 +1,7 @@
 """End-to-end classification: branch coverage, options, reports, schema."""
 
 import json
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -28,7 +29,9 @@ from abmorph import (
     validate_abelian_period,
     verdict_report,
 )
+from abmorph.classify import _cover
 from conftest import random_morphism
+from oracles import naive_fixed_point
 
 
 class TestSpecialFormExponents:
@@ -412,3 +415,80 @@ class TestEvidencePastByteWindows:
         ev = imbalance_evidence(f, 10**5, 4)
         assert (ev.window_length, ev.imbalance, ev.reached) == self._scan(f, 10**5, 4)
         assert not ev.reached
+
+
+class TestEvidenceCover:
+    """_cover gives a prefix of at most n letters that holds every window of
+    s[0:n] up to `longest` letters, so imbalance_evidence scans it instead
+    of the whole horizon."""
+
+    EDGE = [
+        "a->abbb; b->a",  # a one-letter image that grows later
+        "a->aab; b->b",   # b stops growing: no saving
+        "a->aa; b->ab",   # s = a^omega
+        "a->ab; b->ba",   # uniform images
+    ]
+
+    @staticmethod
+    def _factors(s, m):
+        return {s[i : i + m] for i in range(len(s) - m + 1)}
+
+    # longest 3 needs blocks of 2 letters: blocks of 1 would let a window of
+    # 3 letters span three blocks (Fibonacci, a->ab; b->a, misses aba).
+    @pytest.mark.parametrize("longest", [2, 3, 16, 255])
+    def test_every_window_occurs_in_the_cover(self, rng, longest):
+        texts = self.EDGE + [random_morphism(rng).to_text() for _ in range(8)]
+        for text in texts:
+            f = parse_morphism(text)
+            s = naive_fixed_point(str(f.image_a), str(f.image_b), 10**4)
+            for n in (2, 3, 50, 997, 10**4):
+                c = _cover(f, n, longest)
+                assert c <= n
+                for m in sorted({1, 2, longest - 1, longest}):
+                    if 1 <= m <= n:
+                        assert self._factors(s[:n], m) <= self._factors(s[:c], m), (
+                            text, n, longest, m)
+
+    def test_a_letter_that_stops_growing_keeps_the_horizon(self):
+        f = parse_morphism("a->aab; b->b")
+        assert _cover(f, 10**4, 16) == 10**4
+        assert _cover(f, 10**5, 255) == 10**5
+
+    def test_a_window_past_255_reads_the_horizon(self):
+        f = parse_morphism("a->aaab; b->abbb")
+        assert _cover(f, 10**5, 10**5 // 2) == 10**5
+
+    @pytest.mark.parametrize("text", ["a->aaab; b->abbb", "a->aab; b->bbaab",
+                                      "a->abbb; b->aab"])
+    def test_golden_refutations_read_a_few_thousand_letters(self, text):
+        assert _cover(parse_morphism(text), 10**5, 255) < 10**4
+
+
+class TestEvidenceAtLargeHorizons:
+    """The cover leaves the evidence as the whole-horizon window scan gives
+    it, and keeps its cost bounded as the horizon grows."""
+
+    GOLDEN_REFUTATIONS = ["a->aaab; b->abbb", "a->aab; b->bbaab", "a->aab; b->b",
+                          "a->abbb; b->aab"]
+
+    def test_matches_window_scan_at_1e5(self, rng):
+        texts = self.GOLDEN_REFUTATIONS + [random_morphism(rng, max_len=7).to_text()
+                                           for _ in range(30)]
+        for text in texts:
+            f = parse_morphism(text)
+            ev = imbalance_evidence(f, 10**5, 4)
+            assert ev.horizon == 10**5
+            assert (ev.window_length, ev.imbalance, ev.reached) == (
+                TestEvidencePastByteWindows._scan(f, 10**5, 4)), text
+
+    def test_horizon_1e8_in_bounded_memory(self):
+        f = parse_morphism("a->aaab; b->abbb")
+        tracemalloc.start()
+        try:
+            ev = imbalance_evidence(f, 10**8, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (ev.window_length, ev.imbalance, ev.reached) == (7, 5, True)
+        assert ev.horizon == 10**8
+        assert peak < 2 * 2**20

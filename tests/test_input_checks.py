@@ -20,6 +20,7 @@ from abmorph import (
     dfao_eval,
     eq_eventually_periodic,
     imbalance_at,
+    imbalance_evidence,
     lattice_path_heights,
     letters_at_progression,
     lift_fixed_prefix,
@@ -118,6 +119,14 @@ class TestPeriodic:
         u = Word.of("a")
         with pytest.raises(ValueError, match="period words must be nonempty"):
             eq_eventually_periodic(u, Word.of(w1), u, Word.of(w2))
+
+
+class TestClassify:
+    def test_evidence_target_below_one(self):
+        # a->aa; b->ab has imbalance 0 everywhere, which a target of 0 would
+        # count as reached; the report schema asks for a target of at least 1.
+        with pytest.raises(ValueError, match="target must be >= 1"):
+            imbalance_evidence(parse_morphism("a->aa; b->ab"), 100, 0)
 
 
 class TestAnalysis:
