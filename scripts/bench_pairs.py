@@ -14,9 +14,11 @@ The output keeps every run's end-to-end metrics, report_sha256, failed_frac
 and pass count, and one summary row per seed, workload and metric: each
 side's median and quartiles, in how many pairs the change read better
 (ties count for neither), by the direction BENCHMARK.json gives the metric,
-and hash_equal: whether both sides wrote the same report_sha256 in every
-pair. A pair whose two report hashes differ is also printed as it ends.
-An existing output file is extended: runs of a seed and workload measured
+hash_equal: whether both sides wrote the same report_sha256 in every pair,
+and, when every run of those pairs records its pass count, "passes": each
+side's pass-count quartiles, printed next to peak_rss_mib, which grows with
+the pass count. A pair whose two report hashes differ is also printed as it
+ends. An existing output file is extended: runs of a seed and workload measured
 again replace the old ones. Exit status 1 when a run fails its checks.
 """
 
@@ -85,6 +87,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
         if not pairs:
             continue
         hash_equal = not hash_mismatches([r for r in mine if r["pair"] in pairs])
+        counts = {(r["pair"], r["side"]): r.get("passes") for r in mine}
+        passes = {}  # each side's pass counts, when every run of the pairs has one
+        if all(counts[p, s] is not None for p in pairs for s in ("parent", "change")):
+            passes = {"passes": {s: quartiles([counts[p, s] for p in pairs]) for s in ("parent", "change")}}
         for metric, direction in better.items():
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (side[p, "change"][metric] - side[p, "parent"][metric]) > 0 for p in pairs)
@@ -98,8 +104,16 @@ def summarize(runs: list[dict], better: dict[str, str]) -> list[dict]:
                 "change": quartiles([side[p, "change"][metric] for p in pairs]),
                 "change_wins": wins,
                 "hash_equal": hash_equal,
+                **passes,
             })
     return rows
+
+
+def pass_counts(passes: dict) -> str:
+    """The two sides' pass-count quartiles, printed next to peak_rss_mib,
+    which grows with the pass count."""
+    return "  passes " + "  ".join(
+        f"{side} {q['median']:.4g} [{q['q1']:.4g}, {q['q3']:.4g}]" for side, q in passes.items())
 
 
 def hash_mismatches(runs: list[dict]) -> list[dict]:
@@ -160,7 +174,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{row['workload']:15s} {row['metric']:15s} parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"
                   f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
                   f"  change better in {row['change_wins']}/{row['pairs']}"
-                  + ("" if row["hash_equal"] else "  report hashes differ"))
+                  + ("" if row["hash_equal"] else "  report hashes differ")
+                  + (pass_counts(row["passes"]) if row["metric"] == "peak_rss_mib" and "passes" in row else ""))
     return 0 if ok else 1
 
 

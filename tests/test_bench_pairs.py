@@ -120,3 +120,30 @@ def test_a_dropped_pair_does_not_clear_hash_equal():
             hashed(1, "parent", "abc")]
     rows = bench_pairs.summarize(runs, BETTER)
     assert rows and all(r["hash_equal"] and r["pairs"] == 1 for r in rows)
+
+
+def counted(pair, side, passes, **kw):
+    return {**run(pair, side, 1.0, **kw), "passes": passes}
+
+
+def test_rows_carry_each_sides_pass_count_quartiles():
+    runs = [counted(0, "parent", 10), counted(0, "change", 12),
+            counted(1, "parent", 11), counted(1, "change", 13),
+            counted(2, "parent", 12), counted(2, "change", 16)]
+    rows = bench_pairs.summarize(runs, BETTER)
+    assert rows and all(r["passes"] == {"parent": {"median": 11, "q1": 10.5, "q3": 11.5},
+                                        "change": {"median": 13, "q1": 12.5, "q3": 14.5}}
+                        for r in rows)
+    line = bench_pairs.pass_counts(rows[0]["passes"])
+    assert "parent 11 [10.5, 11.5]" in line and "change 13 [12.5, 14.5]" in line
+
+
+def test_runs_without_pass_counts_give_no_passes_key():
+    # Older outputs, and a pair one of whose runs lacks the count.
+    assert all("passes" not in r for r in bench_pairs.summarize(
+        [run(0, "parent", 1.0), run(0, "change", 1.0)], BETTER))
+    runs = [counted(0, "parent", 3), counted(0, "change", 4), counted(1, "parent", 3), run(1, "change", 1.0)]
+    assert all("passes" not in r for r in bench_pairs.summarize(runs, BETTER))
+    # a pair dropped for a missing side does not count
+    runs = [counted(0, "parent", 3), counted(0, "change", 4), run(1, "parent", 1.0)]
+    assert all(r["passes"]["change"]["median"] == 4 for r in bench_pairs.summarize(runs, BETTER))

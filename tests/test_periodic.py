@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from abmorph import (
+    BinaryMorphism,
     Word,
     decide_periodic,
     default_search_bound,
@@ -15,9 +17,15 @@ from abmorph import (
     periodic_prefix,
     validate_abelian_period,
 )
-from abmorph.periodic import _smallest_period
+from abmorph.periodic import _image, _smallest_period
 from conftest import random_morphism
-from oracles import eventually_periodic_prefix, naive_decide_periodic, naive_smallest_period
+from oracles import (
+    eventually_periodic_prefix,
+    naive_apply,
+    naive_decide_periodic,
+    naive_lcm,
+    naive_smallest_period,
+)
 
 
 def W(s):
@@ -235,3 +243,49 @@ class TestSmallestPeriodStep:
         assert str(v.preperiod) == ""
         assert len(v.period) == 301
         assert str(v.period) == "a" + "b" * 300
+
+
+class TestCertificateOnBytes:
+    """decide_periodic builds f(u) and f(w) from the images by bytes.replace,
+    and compares prefixes of u w^omega as bytes; the certificate's words are
+    slices of the fixed-point prefix."""
+
+    @staticmethod
+    def _word(rng, n):
+        return "".join(rng.choice("ab") for _ in range(n))
+
+    def test_image_matches_apply(self, rng):
+        for _ in range(300):
+            f = BinaryMorphism(self._word(rng, rng.randint(1, 8)),
+                               self._word(rng, rng.randint(1, 8)))
+            ia, ib = f.image_a.data.tobytes(), f.image_b.data.tobytes()
+            for n in (0, 1, rng.randint(2, 40), rng.randint(41, 300)):
+                u = W(self._word(rng, n))
+                got = _image(u.data.tobytes(), ia, ib)
+                assert got == f.apply(u).data.tobytes(), (f, str(u))
+                assert Word._adopt(np.frombuffer(got, dtype=np.uint8)) == \
+                    naive_apply(str(f.image_a), str(f.image_b), str(u))
+
+    def test_word_views_match_naive_strings(self, rng):
+        # Words that are views into a longer prefix, at an offset and with
+        # a stride, as well as whole words.
+        base = fixed_point_prefix(parse_morphism("a->ab; b->bbaa"), 600)
+        text = str(base)
+        for _ in range(300):
+            spans = []
+            for _ in range(4):
+                i = rng.randint(0, 500)
+                j = i + rng.randint(0, 12)
+                step = rng.choice([1, 1, 2])
+                spans.append((i, j, step))
+            u1, w1, u2, w2 = (Word._adopt(base.data[i:j:step]) for i, j, step in spans)
+            s1, t1, s2, t2 = (text[i:j:step] for i, j, step in spans)
+            n = rng.randint(0, 60)
+            if len(w1):
+                assert periodic_prefix(u1, w1, n) == eventually_periodic_prefix(s1, t1, n)
+            if len(w1) and len(w2):
+                m = max(len(s1), len(s2)) + naive_lcm(len(t1), len(t2))
+                want = eventually_periodic_prefix(s1, t1, m) == eventually_periodic_prefix(s2, t2, m)
+                assert eq_eventually_periodic(u1, w1, u2, w2) == want
+                # a view against itself, rotated by a whole period
+                assert eq_eventually_periodic(u1, w1, u1 + w1, w1)

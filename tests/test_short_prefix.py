@@ -21,7 +21,7 @@ from abmorph import (
 )
 from abmorph.analysis import _COUNT_CHUNK, _prefix_counts
 from abmorph import words
-from abmorph.words import _BLOCK_FROM, _expand_prefix, _expand_rounds
+from abmorph.words import _BLOCK_FROM, _BYTE_ROUNDS, _byte_rounds, _expand_prefix, _expand_rounds
 from conftest import random_morphism, random_rank1_morphism
 from oracles import naive_apply, naive_fixed_point, naive_fixed_point_codes
 
@@ -285,3 +285,128 @@ class TestRoundsFallToRowGathers:
             assert got.dtype == np.int32
             assert got.tolist() == want[:n], n
         assert gathers
+
+
+def _past_the_byte_phase(table: list[list[int]], itemsize: int) -> int | None:
+    """One letter past |f^t(0)| for the least t at which f^t(0) holds more
+    than _BYTE_ROUNDS bytes, from the block lengths |f^(t+1)(c)| = sum of
+    |f^t(d)| over the letters d of f(c); None when 64 rounds stay short."""
+    sizes = [1] * len(table)
+    for _ in range(64):
+        sizes = [sum(sizes[c] for c in row) for row in table]
+        if sizes[0] * itemsize > _BYTE_ROUNDS:
+            return sizes[0] + 1
+    return None
+
+
+def _byte_phase_lengths(table: list[list[int]], itemsize: int) -> list[int]:
+    """The phase bound in letters minus 1, itself and plus 1, and one letter
+    past the first |f^t(0)| that crosses it."""
+    bound = _BYTE_ROUNDS // itemsize
+    past = _past_the_byte_phase(table, itemsize)
+    return [bound - 1, bound, bound + 1] + ([] if past is None else [past])
+
+
+def _binary_table(f) -> list[list[int]]:
+    return [f.image_a.data.tolist(), f.image_b.data.tolist()]
+
+
+class TestBytePhase:
+    """_expand_rounds runs its first rounds on bytes objects while f^t(0)
+    holds at most _BYTE_ROUNDS bytes, then hands the word, the blocks and
+    the last tail to the numpy rounds: checked on both sides of that bound."""
+
+    @staticmethod
+    def _check(text: str) -> None:
+        f = parse_morphism(text)
+        lengths = _byte_phase_lengths(_binary_table(f), 1)
+        want = naive_fixed_point(str(f.image_a), str(f.image_b), max(lengths))
+        for n in lengths:
+            got = _expand_rounds([f.image_a.data, f.image_b.data], n)
+            assert got.dtype == np.uint8 and got.flags.writeable
+            assert str(Word(got)) == want[:n], (text, n)
+            assert str(fixed_point_prefix(f, n)) == want[:n], (text, n)
+
+    def test_seeded_binary_morphisms(self, rng):
+        checked = 0
+        while checked < 60:
+            f = random_morphism(rng, max_len=rng.choice([3, 5, 9]))
+            if _past_the_byte_phase(_binary_table(f), 1) is not None:
+                self._check(f.to_text())
+                checked += 1
+
+    @pytest.mark.parametrize("text", ["a->ab; b->a", "a->ab; b->ba", "a->aaab; b->abbb",
+                                      "a->ab; b->bbaa", "a->abbbbbba; b->b"])
+    def test_named_morphisms(self, text):
+        self._check(text)
+
+    def test_letter_that_stops_growing(self):
+        # b -> b stops growing; f^t(a) still doubles, so the phase ends.
+        self._check("a->aab; b->b")
+
+    @pytest.mark.parametrize("j", [1, 2, 7, 300])
+    def test_linear_growth_tiles_inside_the_byte_phase(self, j):
+        # a->ab^j; b->b: the second round's tail repeats the first, so the
+        # rounds stop on bytes and the rest is tiled, whatever the length.
+        f = parse_morphism(f"a->a{'b' * j}; b->b")
+        images = [f.image_a.data, f.image_b.data]
+        rows = [im.tolist() for im in images]
+        for n in (j + 2, 300, _BYTE_ROUNDS - 1, _BYTE_ROUNDS, _BYTE_ROUNDS + 1, 10**5):
+            if n <= 2 * j + 1:
+                continue  # the second round already reaches n
+            assert _byte_rounds(images, rows, n)[3], (j, n)
+            got = _expand_rounds(images, n)
+            assert got.flags.writeable
+            assert str(Word(got)) == "a" + "b" * (n - 1), (j, n)
+
+    def test_int32_lift_tables_crossing_the_bound(self, rng):
+        # 1024 int32 states fill the phase; the six-state lift of
+        # a->ab; b->bbaa and seeded rank-1 lifts cross it.
+        lifts = [build_lift(parse_morphism("a->ab; b->bbaa"),
+                            rank1_decompose(matrix_of(parse_morphism("a->ab; b->bbaa"))))]
+        while len(lifts) < 8:
+            f = random_rank1_morphism(rng)
+            form = rank1_decompose(matrix_of(f))
+            if form.trace >= 2:
+                lifts.append(build_lift(f, form))
+        for lift in lifts:
+            table = [list(row) for row in lift.images]
+            lengths = _byte_phase_lengths(table, 4)
+            want = naive_fixed_point_codes(table, max(lengths))
+            for n in lengths:
+                got = lift_fixed_prefix(lift, n)
+                assert got.dtype == np.int32 and got.flags.writeable
+                assert got.tolist() == want[:n], (table, n)
+
+    def test_seeded_int32_tables_crossing_the_bound(self):
+        # Images of different lengths over 3-40 letters, as in
+        # TestExpandAgainstNaive, at the lengths around the phase bound.
+        rng = random.Random(23)
+        checked = 0
+        while checked < 30:
+            size = rng.randint(3, 40)
+            table = [[rng.randrange(size) for _ in range(rng.randint(1, 4))]
+                     for _ in range(size)]
+            table[0] = [0] + [rng.randrange(1, size) for _ in range(rng.randint(1, 3))]
+            lengths = _byte_phase_lengths(table, 4)
+            if len(lengths) < 4 or lengths[-1] > 10**5:
+                continue
+            images = [np.array(row, dtype=np.int32) for row in table]
+            want = naive_fixed_point_codes(table, max(lengths))
+            for n in lengths:
+                got = _expand_rounds(images, n)
+                assert got.dtype == np.int32 and got.flags.writeable
+                assert got.tolist() == want[:n], (table, n)
+            checked += 1
+
+    def test_lift_prefix_inside_the_phase_is_a_writable_int32_array(self):
+        f = parse_morphism("a->ab; b->bbaa")
+        lift = build_lift(f, rank1_decompose(matrix_of(f)))
+        table = [list(row) for row in lift.images]
+        for n in (0, 1, 5, 100, _BYTE_ROUNDS // 4):
+            states = lift_fixed_prefix(lift, n)
+            assert isinstance(states, np.ndarray)
+            assert states.dtype == np.int32 and states.size == n
+            assert states.flags.writeable
+            assert states.tolist() == naive_fixed_point_codes(table, n)
+            states[:] = 0  # the caller owns it
