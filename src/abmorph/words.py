@@ -6,19 +6,14 @@ is block copies: the blocks f^j(a) and f^j(b) of about 16 sqrt(length)
 letters, copied into one buffer of exactly `length` letters in the order of
 a short head of s, the blocks built by row gathers from a padded image
 table, each under _CHUNK letters. Short prefixes, and morphisms with a
-letter that stops growing, are built by rounds: f^(t+1)(a) is f^t(a)
-followed by the blocks f^t(c) of the letters of f(a)[1:], and each next
-block is the blocks of its image. While f^t(a) holds at most 4 KiB the
-rounds run on bytes objects, one b"".join per letter, free of numpy's fixed
-cost per call; the phase is capped because large bytes temporaries are
-slower and larger than in-place copies. Then the rounds continue in place
-in one buffer, one np.concatenate per block, all sized in Python ints (row
-gathers instead once the blocks would pass `length` bytes, as in a lift with
-many states). The tracemalloc peak at 1e5 letters is 1.69 bytes per letter
-for Thue-Morse, 1.56 for Fibonacci and 1.89 for a->ab; b->bbaa (the buffer
-and the last two rounds' blocks); at 1e7 letters it is 1.05, 1.09 and 1.11
-(the blocks and the gather temporaries, next to the buffer), and 1.01-1.02
-at 1e8 letters. Counting is exact.
+letter that stops growing, are built by rounds in one bytearray: f^(t+1)(a)
+is f^t(a) followed by the blocks f^t(c) of the letters of f(a)[1:], one
+slice assignment per letter, where a's block is the buffer itself and b's
+next block is one b"".join of the blocks of f(b). The tracemalloc peak at
+1e5 letters is 1.69 bytes per letter for Thue-Morse, 1.55 for Fibonacci and
+1.88 for a->ab; b->bbaa (the buffer and b's last two blocks); at 1e7 letters
+it is 1.05, 1.09 and 1.11 (the blocks and the gather temporaries, next to
+the buffer), and 1.01-1.02 at 1e8 letters. Counting is exact.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -323,147 +317,60 @@ def _row_gather(images: Sequence[np.ndarray]):
     return apply
 
 
-def _copy_blocks(out: np.ndarray, pos: int, end: int, blocks: list[np.ndarray],
-                 sizes: list[int], letters: list[int]) -> int:
-    """Copy the blocks of `letters` into out from pos, in order, stopping at
-    end (the last block copied is cut short there); return where it stopped.
-    Blocks that all fit are one np.concatenate; only a cut is a slice loop."""
-    stop = pos + sum(map(sizes.__getitem__, letters))
-    if stop <= end:
-        np.concatenate([blocks[c] for c in letters], out=out[pos:stop])
-        return stop
-    for c in letters:
-        n = min(sizes[c], end - pos)
-        out[pos : pos + n] = blocks[c][:n]
-        pos += n
-        if pos == end:
-            break
-    return pos
-
-
-_BYTE_ROUNDS = 4096  # rounds run on bytes objects while f^t(0) holds at most this many bytes
-
-
-def _byte_rounds(images: Sequence[np.ndarray], rows: list[list[int]],
-                 length: int) -> tuple[list[bytes], int, int, bool, bool]:
-    """The first rounds of _expand_rounds on bytes objects, while f^t(0)
-    holds at most _BYTE_ROUNDS bytes: each block f^t(c) is the raw bytes of
-    its letters (the images' dtype), and a round is one b"".join per
-    letter, f^(t+1)(0) cut at `length` letters and the other blocks at the
-    letters still to be written, as in the numpy rounds.
-
-    Returns (blocks, lo, total, tiled, gather): blocks[0] holds the first
-    `total` letters of the fixed point s and blocks[c] is f^t(c) for c >= 1;
-    s[lo:total] is the last tail; tiled says that tail repeated the one
-    before it (the rest of s is its powers), and gather that the other
-    blocks grew past `length` bytes in all, so the next rounds are row
-    gathers."""
-    itemsize = images[0].itemsize
-    blocks = [im.tobytes() for im in images] + [b""]  # b"" last: every pick is a tuple
-    picks = [itemgetter(*row, -1) for row in rows]
-    lo, total = 1, len(rows[0])
-    cap = length * itemsize
-    while total < length and total * itemsize <= _BYTE_ROUNDS:
-        word = blocks[0]
-        grown = b"".join(picks[0](blocks))[:cap]
-        filled = len(grown) // itemsize
-        if filled == length:
-            return [grown], total, filled, False, False
-        if filled - total == total - lo and grown.endswith(memoryview(word)[lo * itemsize :]):
-            return [grown], lo, filled, True, False
-        cut = (length - filled) * itemsize
-        nxt = [b"".join(pick(blocks))[:cut] for pick in picks[1:]]
-        blocks[:-1] = [grown, *nxt]
-        lo, total = total, filled
-        if sum(map(len, nxt)) > length:
-            return [grown], lo, total, False, True
-    return blocks[:-1], lo, total, False, False
+def _joined(blocks: tuple, sizes: tuple[int, int], letters: bytes, room: int) -> bytes:
+    """The blocks of `letters` joined, cut at `room` letters."""
+    pieces = list(map(blocks.__getitem__, letters))
+    over = sum(map(sizes.__getitem__, letters)) - room
+    while over > 0:
+        last = pieces.pop()
+        if len(last) > over:
+            pieces.append(memoryview(last)[: len(last) - over])
+        over -= len(last)
+    return b"".join(pieces)
 
 
 def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
-    """First `length` >= 0 letters of the fixed point of the morphism given
-    by `images`, prolongable on letter 0, as a writable array.
+    """First `length` >= 0 letters of the fixed point of the binary
+    morphism given by `images`, prolongable on letter 0, as a writable
+    uint8 array.
 
     Round t turns f^t(0) into f^(t+1)(0) = f^t(0) followed by the blocks
-    f^t(c) of the letters c of images[0][1:]. Every letter other than 0
-    keeps its block, and the next one is its image's blocks copied into one
-    array, cut at the letters still to be written (no later round reads
-    further into a block).
+    f^t(c) of the letters c of images[0][1:], one slice assignment per
+    letter into one bytearray of `length` letters (|f(0)| if that is more).
+    The block of 0 is a memoryview of that buffer; the block of 1 is a
+    bytes object, and the next one is one b"".join of the blocks of
+    images[1], cut at the letters still to be written (no later round reads
+    further into it). A round stops once `length` letters are written.
 
-    The first rounds, while f^t(0) holds at most _BYTE_ROUNDS bytes, run on
-    bytes objects (_byte_rounds): a round there is one b"".join per letter,
-    with none of numpy's fixed cost per call, which is most of the time
-    below a few thousand letters. The phase is capped because large bytes
-    temporaries cost more than in-place numpy copies: with every round on
-    bytes, a->aaab; b->abbb took 1.4 ms instead of 86 us at 2^19 letters,
-    and the tracemalloc peak at 1e5 letters was 2.2-4.3 bytes per letter
-    instead of 1.5-1.9 (2-core Xeon). Its word, blocks and last tail are
-    then copied into one buffer, where round t appends to the buffer's
-    f^t(0) (_array_rounds). While the blocks hold at most `length` bytes in
-    all, a round is one np.concatenate per block, sized from the images as
-    lists and the block sizes as Python ints; only a block cut at `length`
-    is a slice loop. Past that (a lift with many states), blocks are dropped
-    and each round is one _row_gather of the last round's tail
-    x_t = out[lo:total] written straight after it, as x_(t+1) = f(x_t), the
-    telescoping s = 0 . x . f(x) . f^2(x) ... of images[0] = 0 . x. The
-    buffer holds length + max|image| letters, so a round stops once the
-    requested length is reached.
-
-    A tail equal to the last (f(x_t) = x_t) means the rest is x_t^omega,
-    tiled by doubling copies of the filled periodic part: linear growth
-    stays O(length), and is found on bytes when its first rounds are.
+    A tail equal to the last (f(x_t) = x_t for the tail x_t of round t)
+    means the rest is x_t^omega, tiled by doubling copies of the filled
+    periodic part: linear growth stays O(length).
     """
-    dtype = images[0].dtype
-    rows = [im.tolist() for im in images]
-    blocks, lo, total, tiled, gather = _byte_rounds(images, rows, length)
-    if total >= length:
-        return np.frombuffer(bytearray(blocks[0]), dtype=dtype, count=length)
-    out = np.empty(length + max(map(len, rows)), dtype=dtype)
-    out[:total] = np.frombuffer(blocks[0], dtype=dtype)
-    if not tiled:  # the bytes are freed as the numpy rounds replace their views
-        sizes = [len(b) // dtype.itemsize for b in blocks]
-        blocks = None if gather else [np.frombuffer(b, dtype=dtype) for b in blocks]
-        lo, total = _array_rounds(images, rows, sizes, blocks, out, lo, total, length)
-    while total < length:  # s[lo:total] is two periods of the rest: tile them
-        n = min(total - lo, length - total)
-        out[total : total + n] = out[lo : lo + n]
-        total += n
-    return out[:length]
-
-
-def _array_rounds(images: Sequence[np.ndarray], rows: list[list[int]], sizes: list[int],
-                  blocks: list[np.ndarray] | None, out: np.ndarray, lo: int, total: int,
-                  length: int) -> tuple[int, int]:
-    """The rounds of _expand_rounds in out, which holds the first `total`
-    letters, s[lo:total] the last tail; blocks holds f^t(c) for c >= 1
-    (sizes[c] letters), or is None for row gathers. Returns (lo, total):
-    total >= length, or total < length and s[lo:total] two periods of the
-    rest of s."""
-    tail = rows[0][1:]
-    apply = None if blocks is not None else _row_gather(images)
+    first, image = (im.tobytes() for im in images)
+    out = bytearray(max(length, len(first)))
+    out[: len(first)] = first
+    word = memoryview(out)
+    tail, block, lo, total = first[1:], image, 1, len(first)
     while total < length:
-        if blocks is not None:
-            blocks[0], sizes[0] = out[:total], total
-            filled = _copy_blocks(out, total, length, blocks, sizes, tail)
-        else:
-            written, _ = apply(out[lo:total], out[total:])
-            filled = total + written
-        if filled < length and filled - total == total - lo and np.array_equal(
-            out[lo:total], out[total:filled]
-        ):
-            return lo, filled
-        if blocks is not None and filled < length:
-            room = length - filled
-            grown = [min(sum(map(sizes.__getitem__, row)), room) for row in rows[1:]]
-            if sum(grown) * out.itemsize <= length:
-                nxt = [np.empty(n, dtype=out.dtype) for n in grown]
-                for block, n, row in zip(nxt, grown, rows[1:]):
-                    _copy_blocks(block, 0, n, blocks, sizes, row)
-                blocks[1:], sizes[1:] = nxt, grown
-            else:
-                blocks, apply = None, _row_gather(images)
-        lo, total = total, filled
-    return lo, total
+        blocks, sizes = (word[:total], block), (total, len(block))
+        pos = total
+        for c in tail:
+            end = pos + sizes[c]
+            if end >= length:
+                word[pos:length] = memoryview(blocks[c])[: length - pos]
+                pos = length
+                break
+            word[pos:end] = blocks[c]
+            pos = end
+        if pos < length and pos - total == total - lo and out.startswith(word[lo:total], total):
+            while pos < length:  # out[lo:pos] is whole periods of the rest: tile them
+                n = min(pos - lo, length - pos)
+                word[pos : pos + n] = word[lo : lo + n]
+                pos += n
+        elif pos < length:
+            block = _joined(blocks, sizes, image, length - pos)
+        lo, total = total, pos
+    return np.frombuffer(out, dtype=np.uint8, count=length)
 
 
 _BLOCK_FROM = 2**19  # shorter prefixes are built by rounds alone
@@ -526,7 +433,7 @@ def _block_pieces(images: Sequence[np.ndarray], rounds: list[np.ndarray],
 
 def _prefix_pieces(images: Sequence[np.ndarray], length: int) -> Iterator[np.ndarray]:
     """Arrays that spell the first `length` >= 0 letters of the fixed point
-    of the morphism given by `images` (prolongable on letter 0) in order:
+    of the binary morphism given by `images` (prolongable on letter 0) in order:
     the blocks of _block_pieces when they pay, else the whole prefix."""
     rounds = _block_rounds(images, length)
     if rounds is None:
@@ -535,8 +442,8 @@ def _prefix_pieces(images: Sequence[np.ndarray], length: int) -> Iterator[np.nda
 
 
 def _expand_prefix(images: Sequence[np.ndarray], length: int) -> np.ndarray:
-    """First `length` >= 0 letters of the fixed point of the morphism given
-    by `images`, prolongable on letter 0: the blocks of _block_pieces copied
+    """First `length` >= 0 letters of the fixed point of the binary morphism
+    given by `images`, prolongable on letter 0: the blocks of _block_pieces copied
     into one buffer of `length` letters when they pay, else _expand_rounds.
     The buffer is allocated before any block is built, so a length too large
     for memory fails at once."""

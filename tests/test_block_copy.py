@@ -20,7 +20,7 @@ from abmorph import (
     parse_morphism,
     rank1_decompose,
 )
-from abmorph.words import _BLOCK_FROM, _block_rounds, _expand_prefix
+from abmorph.words import _BLOCK_FROM, _block_rounds
 from conftest import random_morphism, random_rank1_morphism
 from oracles import naive_fixed_point, naive_fixed_point_codes
 
@@ -130,14 +130,6 @@ class TestFallbacks:
         f = parse_morphism("a->ab; b->b")
         for n in (_BLOCK_FROM - 1, _BLOCK_FROM, _BLOCK_FROM + 1):
             assert fixed_point_prefix(f, n) == "a" + "b" * (n - 1)
-
-    def test_letter_stuck_after_growing(self):
-        # letter 1 grows once (1 -> 2 2) and then stays at two letters, as
-        # letter 2 is its own image
-        images = [np.array(im, dtype=np.int32) for im in ([0, 1, 0], [2, 2], [2])]
-        assert _block_rounds(images, 10**6) is None
-        want = naive_fixed_point_codes([im.tolist() for im in images], _BLOCK_FROM + 1)
-        assert _expand_prefix(images, _BLOCK_FROM + 1).tolist() == want
 
     def test_short_and_already_long(self):
         f = parse_morphism("a->ab; b->ba")

@@ -283,21 +283,28 @@ def power_width(lift):
 
 
 # Thue-Morse (4 states, 2-uniform), a->ab; b->bbaa (6, 3), a 10-state
-# 5-uniform lift, and 400 states, 200-uniform: 400 * 200 > _CHUNK, so the
-# table budget keeps j = 1.
+# 5-uniform lift, a 28-state 14-uniform one, and 400 states, 200-uniform:
+# 400 * 200 > _CHUNK, so the table budget keeps j = 1.
 POWER_LIFTS = ["a->ab; b->ba", "a->ab; b->bbaa", "a->aabbb; b->bbaab",
+               "a->aaaaaaabbbbbbb; b->" + "ba" * 7,
                "a->" + "ab" * 100 + "; b->" + "ba" * 100]
 
 
 @pytest.fixture(scope="module", params=POWER_LIFTS, ids=lambda t: t[:16])
 def power_case(request):
-    """(f, lift, k^j, lengths, naive states): the lengths sit at k^j and at
-    the first chunk boundary of lift_verify, (_CHUNK // k^j) * k^j."""
+    """(f, lift, k^j, lengths, naive states): the lengths sit at k, at k^j,
+    at the first chunk boundary of lift_verify, (_CHUNK // k^j) * k^j,
+    where the last round of the state expansion stops around the first
+    chunk boundary of its row gather, _CHUNK // k tail states, and at
+    3^12, the default horizon of `abmorph residues`."""
     f, lift = lift_of(request.param)
+    images = [list(im) for im in lift.images]
     width = power_width(lift)
     edge = (_CHUNK // width) * width
-    lengths = [0, 1] + [n + d for n in (width, edge) for d in (-1, 0, 1)]
-    want = naive_fixed_point_codes([list(im) for im in lift.images], max(lengths))
+    lengths = [0, 1, 3**12] + [n + d for n in (lift.k, width, edge) for d in (-1, 0, 1)]
+    for m in (_CHUNK // lift.k - 1, _CHUNK // lift.k, _CHUNK // lift.k + 1):
+        lengths += last_round_lengths(images, m)
+    want = naive_fixed_point_codes(images, max(lengths))
     return f, lift, width, lengths, want
 
 
@@ -315,7 +322,7 @@ class TestPowerRows:
         _, lift, _, lengths, want = power_case
         for n in lengths:
             got = lift_fixed_prefix(lift, n)
-            assert got.dtype.name == "int32"
+            assert got.dtype.name == "int32" and got.flags.writeable
             assert got.tolist() == want[:n], n
 
     def test_verify_against_naive(self, power_case):

@@ -1,10 +1,9 @@
-"""The two kernels under every short-prefix scan: prefix expansion by block
-concatenation (words._expand_rounds, reached through _expand_prefix below
+"""The two kernels under every short-prefix scan: prefix expansion by rounds
+in one buffer (words._expand_rounds, reached through _expand_prefix below
 _BLOCK_FROM letters) and the prefix a-counts taken eight letters per word
 (analysis._prefix_counts). Both are checked against naive references, and
 their peak memory is pinned with tracemalloc."""
 
-import random
 import tracemalloc
 
 import numpy as np
@@ -18,10 +17,10 @@ from abmorph import (
     matrix_of,
     parse_morphism,
     rank1_decompose,
+    square,
 )
 from abmorph.analysis import _COUNT_CHUNK, _prefix_counts
-from abmorph import words
-from abmorph.words import _BLOCK_FROM, _BYTE_ROUNDS, _byte_rounds, _expand_prefix, _expand_rounds
+from abmorph.words import _BLOCK_FROM, _expand_prefix, _expand_rounds
 from conftest import random_morphism, random_rank1_morphism
 from oracles import naive_apply, naive_fixed_point, naive_fixed_point_codes
 
@@ -69,9 +68,19 @@ def _check_binary(text: str) -> None:
         assert str(Word(got)) == want[:n], (text, n)
 
 
+def _block_lengths(table: list[list[int]], longest: int) -> list[int]:
+    """0, 1, longest and |f^t(0)| - 1, |f^t(0)|, |f^t(0)| + 1 up to longest,
+    from the block lengths |f^(t+1)(c)| = sum of |f^t(d)| over f(c)."""
+    out, sizes = {0, 1, longest}, [1] * len(table)
+    while sizes[0] < longest:
+        sizes = [sum(sizes[c] for c in row) for row in table]
+        out.update(n for n in (sizes[0] - 1, sizes[0], sizes[0] + 1) if n <= longest)
+    return sorted(out)
+
+
 class TestExpandAgainstNaive:
-    """_expand_prefix below _BLOCK_FROM is _expand_rounds: block
-    concatenation while the blocks are small, row gathers past that."""
+    """_expand_prefix below _BLOCK_FROM is _expand_rounds: one slice
+    assignment per letter of f(a)[1:] a round, into one buffer."""
 
     def test_seeded_binary_morphisms(self, rng):
         for _ in range(150):
@@ -93,6 +102,33 @@ class TestExpandAgainstNaive:
     def test_named_morphisms(self, text):
         _check_binary(text)
 
+    def test_seeded_images_up_to_43_letters(self, rng):
+        # Images as long as the longest of the bench workloads (the square
+        # of a->ababa; b->bababab, 29 and 43 letters), at the block lengths
+        # |f^t(a)| and their neighbours up to one letter short of the block
+        # copy. a->ab^42; b->a has two tails of one length that differ;
+        # a->ab^j; b->b tiles its tail.
+        longest = _BLOCK_FROM - 1
+        cases = [square(parse_morphism("a->ababa; b->bababab")),
+                 parse_morphism("a->a" + "b" * 42 + "; b->a")]
+        while len(cases) < 18:
+            f = random_morphism(rng, max_len=rng.choice([9, 29, 43]))
+            if not (str(f.image_b) == "b" and set(str(f.image_a)[1:]) == {"b"}):
+                cases.append(f)  # linear growth would make naive expansion quadratic
+        for f in cases:
+            table = [f.image_a.data.tolist(), f.image_b.data.tolist()]
+            want = naive_fixed_point(str(f.image_a), str(f.image_b), longest)
+            for n in _block_lengths(table, longest):
+                got = _expand_rounds([f.image_a.data, f.image_b.data], n)
+                assert got.flags.writeable
+                assert str(Word(got)) == want[:n], (f.to_text(), n)
+        for j in (1, 28, 42):
+            f = parse_morphism(f"a->a{'b' * j}; b->b")
+            for n in (0, 1, j, j + 1, j + 2, 2 * j + 1, 2 * j + 2, 3 * j + 2, longest):
+                got = _expand_rounds([f.image_a.data, f.image_b.data], n)
+                assert got.flags.writeable
+                assert str(Word(got)) == ("a" + "b" * n)[:n], (j, n)
+
     def test_skewed_images_give_a_periodic_prefix(self):
         # a->a b^300 a; b->b: f^omega(a) = (a b^300)^omega. A round appends
         # 300 one-letter blocks and a copy of the prefix.
@@ -103,8 +139,8 @@ class TestExpandAgainstNaive:
         assert np.array_equal(fixed_point_prefix(f, n).data, want)
 
     def test_seeded_rank1_lift_tables(self, rng):
-        # Lift tables are k-uniform over many int32 states; their blocks
-        # outgrow the concatenation bound, so the last rounds are row gathers.
+        # Lift tables are k-uniform over many int32 states; each round is
+        # a row gather of the last tail.
         for _ in range(25):
             f = random_rank1_morphism(rng)
             form = rank1_decompose(matrix_of(f))
@@ -118,34 +154,14 @@ class TestExpandAgainstNaive:
                 assert got.dtype == np.int32
                 assert got.tolist() == want[:n], (f.to_text(), n)
 
-    def test_seeded_int32_tables(self):
-        # Random tables over 3-40 letters, prolongable on letter 0 and
-        # growing, with images of different lengths.
-        rng = random.Random(19)
-        for _ in range(60):
-            size = rng.randint(3, 40)
-            table = [[rng.randrange(size) for _ in range(rng.randint(1, 4))]
-                     for _ in range(size)]
-            table[0] = [0] + [rng.randrange(1, size) for _ in range(rng.randint(1, 3))]
-            images = [np.array(row, dtype=np.int32) for row in table]
-            want = naive_fixed_point_codes(table, NAIVE_MAX + 1)
-            if len(want) <= NAIVE_MAX:
-                continue  # stops growing before NAIVE_MAX letters
-            for n in _table_lengths(table):
-                got = _expand_prefix(images, n)
-                assert got.dtype == np.int32
-                assert got.tolist() == want[:n], (table, n)
-
-
 class TestExpandMemory:
-    """Letter 0's block is the output buffer; the other blocks are cut at
-    the letters still to be written, and concatenated only while they hold
-    at most `length` bytes."""
+    """Letter 0's block is the output buffer; letter 1's block is cut at
+    the letters still to be written."""
 
     @pytest.mark.parametrize("text", ["a->ab; b->ba", "a->ab; b->a", "a->ab; b->bbaa"])
     def test_fixed_point_prefix_at_1e5(self, text):
-        # The buffer is 1 byte per letter, the last two rounds' blocks
-        # 0.6-0.9; the row-gather rounds peaked at 5.6-6.8.
+        # The buffer is 1 byte per letter, the last two blocks of b
+        # 0.55-0.9; row-gather rounds peaked at 5.6-6.8.
         f = parse_morphism(text)
         n = 10**5
         tracemalloc.start()
@@ -161,7 +177,7 @@ class TestExpandMemory:
                                         ("a->ab; b->bbaa", 2 * 3**9 + 1)])
     def test_blocks_are_cut_one_letter_past_a_power(self, text, n):
         # n is one letter past |f^t(a)|: the last blocks built are cut to that
-        # one letter (1.79 and 1.93 bytes per letter); whole blocks of
+        # one letter (1.77 and 1.92 bytes per letter); whole blocks of
         # f^t(b) would read 2.54 and 2.72.
         f = parse_morphism(text)
         tracemalloc.start()
@@ -173,9 +189,8 @@ class TestExpandMemory:
         assert peak / n <= 2.2
 
     def test_lift_prefix_below_the_block_switch(self):
-        # Six int32 states, 4 bytes each, and blocks for the five other
-        # states: bounded by `length` letters they peaked at 7.9 bytes per
-        # letter; bounded by `length` bytes, at 5.3.
+        # Six int32 states, 4 bytes each, and the row gather's temporaries:
+        # 4.9 bytes per letter.
         f = parse_morphism("a->ab; b->bbaa")
         lift = build_lift(f, rank1_decompose(matrix_of(f)))
         n = 4 * 10**5
@@ -259,51 +274,26 @@ class TestPrefixCountsAgainstCumsum:
             assert np.array_equal(got, (want % (int(np.iinfo(dtype).max) + 1)).astype(dtype)), n
 
 
-class TestRoundsFallToRowGathers:
-    """Once the blocks of the other letters would pass `length` bytes,
-    _expand_rounds drops them and each round is a row gather of the last
-    tail. (Tiled linear growth, lift tables and lengths 0, 1 and |f(a)| are
-    checked through _expand_prefix above.)"""
-
-    def test_many_state_table(self, monkeypatch):
-        # 40 int32 states with 3-letter images: the blocks of the 39 other
-        # states soon hold more bytes than the prefix has letters.
-        rng = random.Random(21)
-        table = [[0, 1, 2]] + [[rng.randrange(40) for _ in range(3)] for _ in range(39)]
-        images = [np.array(row, dtype=np.int32) for row in table]
-        want = naive_fixed_point_codes(table, NAIVE_MAX)
-        gathers = []
-        real = words._row_gather
-
-        def counted(images):
-            gathers.append(len(images))
-            return real(images)
-
-        monkeypatch.setattr(words, "_row_gather", counted)
-        for n in (0, 1, 3, 4, 2000, NAIVE_MAX):
-            got = _expand_rounds(images, n)
-            assert got.dtype == np.int32
-            assert got.tolist() == want[:n], n
-        assert gathers
+EDGE = 4096  # bytes: 4 KiB of letters or of int32 states
 
 
-def _past_the_byte_phase(table: list[list[int]], itemsize: int) -> int | None:
+def _past_the_edge(table: list[list[int]], itemsize: int) -> int | None:
     """One letter past |f^t(0)| for the least t at which f^t(0) holds more
-    than _BYTE_ROUNDS bytes, from the block lengths |f^(t+1)(c)| = sum of
-    |f^t(d)| over the letters d of f(c); None when 64 rounds stay short."""
+    than EDGE bytes, from the block lengths |f^(t+1)(c)| = sum of |f^t(d)|
+    over the letters d of f(c); None when 64 rounds stay short."""
     sizes = [1] * len(table)
     for _ in range(64):
         sizes = [sum(sizes[c] for c in row) for row in table]
-        if sizes[0] * itemsize > _BYTE_ROUNDS:
+        if sizes[0] * itemsize > EDGE:
             return sizes[0] + 1
     return None
 
 
-def _byte_phase_lengths(table: list[list[int]], itemsize: int) -> list[int]:
-    """The phase bound in letters minus 1, itself and plus 1, and one letter
-    past the first |f^t(0)| that crosses it."""
-    bound = _BYTE_ROUNDS // itemsize
-    past = _past_the_byte_phase(table, itemsize)
+def _edge_lengths(table: list[list[int]], itemsize: int) -> list[int]:
+    """EDGE in letters minus 1, itself and plus 1, and one letter past the
+    first |f^t(0)| that crosses it."""
+    bound = EDGE // itemsize
+    past = _past_the_edge(table, itemsize)
     return [bound - 1, bound, bound + 1] + ([] if past is None else [past])
 
 
@@ -312,14 +302,14 @@ def _binary_table(f) -> list[list[int]]:
 
 
 class TestBytePhase:
-    """_expand_rounds runs its first rounds on bytes objects while f^t(0)
-    holds at most _BYTE_ROUNDS bytes, then hands the word, the blocks and
-    the last tail to the numpy rounds: checked on both sides of that bound."""
+    """_expand_rounds and lift_fixed_prefix at 4 KiB less a letter, 4 KiB
+    and a letter more, and one letter past the first |f^t(0)| longer than
+    that: the output is writable and agrees with naive expansion."""
 
     @staticmethod
     def _check(text: str) -> None:
         f = parse_morphism(text)
-        lengths = _byte_phase_lengths(_binary_table(f), 1)
+        lengths = _edge_lengths(_binary_table(f), 1)
         want = naive_fixed_point(str(f.image_a), str(f.image_b), max(lengths))
         for n in lengths:
             got = _expand_rounds([f.image_a.data, f.image_b.data], n)
@@ -331,7 +321,7 @@ class TestBytePhase:
         checked = 0
         while checked < 60:
             f = random_morphism(rng, max_len=rng.choice([3, 5, 9]))
-            if _past_the_byte_phase(_binary_table(f), 1) is not None:
+            if _past_the_edge(_binary_table(f), 1) is not None:
                 self._check(f.to_text())
                 checked += 1
 
@@ -341,26 +331,24 @@ class TestBytePhase:
         self._check(text)
 
     def test_letter_that_stops_growing(self):
-        # b -> b stops growing; f^t(a) still doubles, so the phase ends.
+        # b -> b stops growing; f^t(a) still doubles, past the edge.
         self._check("a->aab; b->b")
 
     @pytest.mark.parametrize("j", [1, 2, 7, 300])
     def test_linear_growth_tiles_inside_the_byte_phase(self, j):
         # a->ab^j; b->b: the second round's tail repeats the first, so the
-        # rounds stop on bytes and the rest is tiled, whatever the length.
+        # rounds stop there and the rest is tiled, whatever the length.
         f = parse_morphism(f"a->a{'b' * j}; b->b")
         images = [f.image_a.data, f.image_b.data]
-        rows = [im.tolist() for im in images]
-        for n in (j + 2, 300, _BYTE_ROUNDS - 1, _BYTE_ROUNDS, _BYTE_ROUNDS + 1, 10**5):
+        for n in (j + 2, 300, EDGE - 1, EDGE, EDGE + 1, 10**5):
             if n <= 2 * j + 1:
                 continue  # the second round already reaches n
-            assert _byte_rounds(images, rows, n)[3], (j, n)
             got = _expand_rounds(images, n)
             assert got.flags.writeable
             assert str(Word(got)) == "a" + "b" * (n - 1), (j, n)
 
     def test_int32_lift_tables_crossing_the_bound(self, rng):
-        # 1024 int32 states fill the phase; the six-state lift of
+        # 1024 int32 states fill 4 KiB; the six-state lift of
         # a->ab; b->bbaa and seeded rank-1 lifts cross it.
         lifts = [build_lift(parse_morphism("a->ab; b->bbaa"),
                             rank1_decompose(matrix_of(parse_morphism("a->ab; b->bbaa"))))]
@@ -371,39 +359,18 @@ class TestBytePhase:
                 lifts.append(build_lift(f, form))
         for lift in lifts:
             table = [list(row) for row in lift.images]
-            lengths = _byte_phase_lengths(table, 4)
+            lengths = _edge_lengths(table, 4)
             want = naive_fixed_point_codes(table, max(lengths))
             for n in lengths:
                 got = lift_fixed_prefix(lift, n)
                 assert got.dtype == np.int32 and got.flags.writeable
                 assert got.tolist() == want[:n], (table, n)
 
-    def test_seeded_int32_tables_crossing_the_bound(self):
-        # Images of different lengths over 3-40 letters, as in
-        # TestExpandAgainstNaive, at the lengths around the phase bound.
-        rng = random.Random(23)
-        checked = 0
-        while checked < 30:
-            size = rng.randint(3, 40)
-            table = [[rng.randrange(size) for _ in range(rng.randint(1, 4))]
-                     for _ in range(size)]
-            table[0] = [0] + [rng.randrange(1, size) for _ in range(rng.randint(1, 3))]
-            lengths = _byte_phase_lengths(table, 4)
-            if len(lengths) < 4 or lengths[-1] > 10**5:
-                continue
-            images = [np.array(row, dtype=np.int32) for row in table]
-            want = naive_fixed_point_codes(table, max(lengths))
-            for n in lengths:
-                got = _expand_rounds(images, n)
-                assert got.dtype == np.int32 and got.flags.writeable
-                assert got.tolist() == want[:n], (table, n)
-            checked += 1
-
     def test_lift_prefix_inside_the_phase_is_a_writable_int32_array(self):
         f = parse_morphism("a->ab; b->bbaa")
         lift = build_lift(f, rank1_decompose(matrix_of(f)))
         table = [list(row) for row in lift.images]
-        for n in (0, 1, 5, 100, _BYTE_ROUNDS // 4):
+        for n in (0, 1, 5, 100, EDGE // 4):
             states = lift_fixed_prefix(lift, n)
             assert isinstance(states, np.ndarray)
             assert states.dtype == np.int32 and states.size == n

@@ -21,7 +21,7 @@ from abmorph import (
     primitive_root,
     square,
 )
-from abmorph.words import _CHUNK, _expand_prefix, _row_gather
+from abmorph.words import _CHUNK, _row_gather
 from conftest import random_morphism
 from oracles import (
     last_round_lengths,
@@ -402,15 +402,6 @@ class TestInPlaceKernel:
         f = parse_morphism("a->aab; b->b")
         for n in (3, 2 * _CHUNK - 1, 2 * _CHUNK + 1, 5 * _CHUNK):
             assert fixed_point_prefix(f, n) == naive_fixed_point("aab", "b", n)
-
-    def test_stationary_block_with_period_two(self):
-        # f(x) = x for the block x = 1 2, so the tail is (1 2)^omega; the
-        # doubling copy must keep the phase at odd and even lengths.
-        images = [np.array(im, dtype=np.int32) for im in ([0, 1, 2], [1], [2])]
-        for n in (0, 1, 2, 3, 4, 7, 2 * _CHUNK + 1, 2 * _CHUNK + 2):
-            got = _expand_prefix(images, n)
-            assert got.dtype == np.int32
-            assert got.tolist() == ([0] + [1, 2] * n)[:n]
 
     def test_apply_longer_than_a_chunk(self, rng):
         f = random_morphism(rng)
