@@ -30,7 +30,7 @@ from .matrices import (
 )
 from .periodic import PeriodicityVerdict, _check_search_bounds, decide_periodic
 from .rank1 import EventualWitness, PureVerdict, decide_pure, eventual_scan
-from .words import BinaryMorphism, _stops_growing, fixed_point_prefix
+from .words import BinaryMorphism, _ladder, fixed_point_prefix
 
 __all__ = [
     "Verdict",
@@ -236,14 +236,9 @@ def _cover(f: BinaryMorphism, n: int, longest: int) -> int:
     first occurrence of a 2-letter factor there: the window occurs in
     f^k(s[0:i+2]), the prefix of |s[0:i+2]|_a |f^k(a)| + |s[0:i+2]|_b |f^k(b)|
     letters."""
-    mat = matrix_of(f)
-    rounds = [(1, 1)]
-    while min(rounds[-1]) < longest - 1:
-        la, lb = rounds[-1]
-        grown = (mat.m11 * la + mat.m21 * lb, mat.m12 * la + mat.m22 * lb)
-        if sum(grown) > n or _stops_growing(rounds, grown):
-            return n
-        rounds.append(grown)
+    rounds = _ladder([f.image_a.data, f.image_b.data], longest - 1, n)
+    if rounds is None:
+        return n
     la, lb = rounds[-1]
     head = fixed_point_prefix(f, -(-n // min(la, lb)) + 2).data.tobytes()
     i = max(head.find(pair) for pair in (b"\0\0", b"\0\1", b"\1\0", b"\1\1"))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateTraceError, OutOfRangeError
 from .matrices import Rank1Form
-from .words import _CHUNK, BinaryMorphism, _prefix_pieces, _row_gather
+from .words import _CHUNK, BinaryMorphism, _prefix_pieces
 
 __all__ = [
     "UniformLift",
@@ -46,6 +46,10 @@ class UniformLift:
     images: tuple[tuple[int, ...], ...]
     coding: tuple[str, ...]
 
+    def __post_init__(self):
+        if self.k < 2:  # dfao_eval's digits and the expansions would never end
+            raise DegenerateTraceError(f"lift needs trace >= 2, got {self.k}")
+
     @property
     def size(self) -> int:
         return self.image_length_a + self.image_length_b
@@ -70,8 +74,6 @@ def build_lift(f: BinaryMorphism, form: Rank1Form) -> UniformLift:
     the concatenation of the id runs (d, 0), ..., (d, |f(d)|-1)."""
     f.require_prolongable()
     k = form.trace
-    if k < 2:
-        raise DegenerateTraceError(f"lift needs trace >= 2, got {k}")
     image_a, image_b = str(f.image_a), str(f.image_b)
     la, lb = len(image_a), len(image_b)
     runs = {"a": range(la), "b": range(la, la + lb)}
@@ -90,20 +92,21 @@ def build_lift(f: BinaryMorphism, form: Rank1Form) -> UniformLift:
 
 def _expand_states(table: np.ndarray, length: int) -> np.ndarray:
     """First `length` >= 0 states of the fixed point x of the k-uniform
-    table (k = table.shape[1], state 0 prolongable), a writable int32 array.
-
-    With F(0) = 0 . y, x = 0 . y . F(y) . F^2(y) ...: each round is one
-    _row_gather of the last tail, written straight after it into a buffer
-    of length + k states. A gather writes whole rows only, so the last
-    round ends at most k states past `length`, inside the buffer."""
+    table (k = table.shape[1] >= 2, state 0 prolongable), a writable int32
+    array: x[ik : (i+1)k] = table[x_i]. Once the rows of states below i are
+    written, states i, ..., ik - 1 are known, so each step gathers the rows
+    of min(_CHUNK // k, i (k-1)) of them into a buffer of length + k states,
+    until the first ceil(length / k) states have their rows."""
     k = table.shape[1]
     out = np.empty(length + k, dtype=np.int32)
     out[:k] = table[0]
-    apply = _row_gather(table)
-    lo, total = 1, k
-    while total < length:
-        written, _ = apply(out[lo:total], out[total:])
-        lo, total = total, total + written
+    i, rows = 1, -(-length // k)
+    while i < rows:
+        m = min(max(1, _CHUNK // k), i * (k - 1), rows - i)
+        # "clip" writes straight into out; "raise" would buffer a copy
+        np.take(table, out[i : i + m], axis=0, out=out[i * k : (i + m) * k].reshape(m, k),
+                mode="clip")
+        i += m
     return out[:length]
 
 
@@ -127,11 +130,11 @@ def _power_rows(lift: UniformLift, length: int) -> tuple[np.ndarray, np.ndarray]
 
 def lift_fixed_prefix(lift: UniformLift, length: int) -> np.ndarray:
     """First `length` states of the lifted fixed point (int32 state ids),
-    by the row gathers of _expand_states: 4 bytes per state for the buffer,
-    and the gather temporaries, under _CHUNK letters each. The tracemalloc
-    peak at 4e5 states is 4.88 bytes per state for the 3-uniform lift of
-    a->ab; b->bbaa, 5.32 for the 2-uniform one of Thue-Morse and 4.21 for
-    the 14-uniform one of a->a^7 b^7; b->(ba)^7; at 2e6 states, 4.04-4.26."""
+    by the k-wide row gathers of _expand_states: 4 bytes per state for the
+    buffer, and a gather's intp indices. The tracemalloc peak at 4e5 states
+    is 4.44 bytes per state for the 3-uniform lift of a->ab; b->bbaa, 4.66
+    for Thue-Morse's 2-uniform one and 4.10 for the 14-uniform one of
+    a->a^7 b^7; b->(ba)^7; at 2e6 states, 4.02-4.13."""
     if length < 0:
         raise ValueError("length must be >= 0")
     return _expand_states(np.array(lift.images, dtype=np.int32), length)

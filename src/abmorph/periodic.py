@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import _LETTERS, BinaryMorphism, Word, fixed_point_prefix
+from .words import BinaryMorphism, Word, _image, fixed_point_prefix
 
 __all__ = [
     "PeriodicityVerdict",
@@ -36,13 +36,6 @@ def _periodic_bytes(u: bytes, w: bytes, length: int) -> bytes:
 
 def _word(codes: bytes) -> Word:
     return Word._adopt(np.frombuffer(codes, dtype=np.uint8))
-
-
-def _image(u: bytes, image_a: bytes, image_b: bytes) -> bytes:
-    """f(u), for u and the images f(a), f(b) given by letter codes: u spelled
-    in ascii letters, which no letter code equals, then one bytes.replace
-    per letter."""
-    return u.translate(_LETTERS).replace(b"a", image_a).replace(b"b", image_b)
 
 
 def periodic_prefix(preperiod: Word, period: Word, length: int) -> Word:
@@ -135,15 +128,12 @@ def decide_periodic(
     f(u) f(w)^omega = u w^omega checked, so "periodic" verdicts are proofs.
 
     f(u) and f(w) come from the images, never from the prefix, which would
-    make the proof circular: each is one bytes.replace per letter (_image),
-    and eq_eventually_periodic compares bytes. BinaryMorphism.apply, a row
-    gather from a padded table, pays about 20 us per call for that table;
-    bytes.replace is faster only on short words (Thue-Morse, 2-core Xeon:
-    0.5 against 20 us at 10 letters, 6 against 20 us at 300, but 190
-    against 39 us at 10^4 and 22 against 2.1 ms at 10^6). u and w hold at
-    most max_preperiod and max_period letters, and are short in practice:
-    at the default bounds, the 69 candidates certified over the seed-1
-    classify_mix bench corpus have |u| <= 1, |w| <= 2 and |f(w)| <= 72."""
+    make the proof circular: each is one bytes.replace per letter, the
+    kernel of BinaryMorphism.apply (words._image), and
+    eq_eventually_periodic compares bytes. u and w hold at most
+    max_preperiod and max_period letters, and are short in practice: at the
+    default bounds, the 69 candidates certified over the seed-1 classify_mix
+    bench corpus have |u| <= 1, |w| <= 2 and |f(w)| <= 72."""
     f.require_prolongable()
     _check_search_bounds(max_period, max_preperiod)
     bound = default_search_bound(f)

@@ -1,19 +1,21 @@
 """Binary words, Parikh vectors, and binary morphisms.
 
 Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b).
-The fixed point s is its own image under every power f^j, so a long prefix
-is block copies: the blocks f^j(a) and f^j(b) of about 16 sqrt(length)
-letters, copied into one buffer of exactly `length` letters in the order of
-a short head of s, the blocks built by row gathers from a padded image
-table, each under _CHUNK letters. Short prefixes, and morphisms with a
-letter that stops growing, are built by rounds in one bytearray: f^(t+1)(a)
-is f^t(a) followed by the blocks f^t(c) of the letters of f(a)[1:], one
-slice assignment per letter, where a's block is the buffer itself and b's
-next block is one b"".join of the blocks of f(b). The tracemalloc peak at
-1e5 letters is 1.69 bytes per letter for Thue-Morse, 1.55 for Fibonacci and
-1.88 for a->ab; b->bbaa (the buffer and b's last two blocks); at 1e7 letters
-it is 1.05, 1.09 and 1.11 (the blocks and the gather temporaries, next to
-the buffer), and 1.01-1.02 at 1e8 letters. Counting is exact.
+f(u) is one bytes.replace per letter (_image); every caller maps short
+words. The fixed point s is its own image under every power f^j, so a long
+prefix is block copies: the blocks f^j(a) and f^j(b) of about
+16 sqrt(length) letters (sized by _ladder), built by row gathers from a
+padded image table, each under _CHUNK letters, and copied into one buffer
+of exactly `length` letters in the order of a short head of s. Short
+prefixes, and morphisms with a letter that stops growing, are built by
+rounds in one bytearray: f^(t+1)(a) is f^t(a) followed by the blocks f^t(c)
+of the letters of f(a)[1:], one slice assignment per letter, where a's
+block is the buffer itself and b's next block is one b"".join of the blocks
+of f(b). The tracemalloc peak at 1e5 letters is 1.69 bytes per letter for
+Thue-Morse, 1.55 for Fibonacci and 1.88 for a->ab; b->bbaa (the buffer and
+b's last two blocks); at 1e7 letters it is 1.05, 1.09 and 1.11 (the blocks
+and the gather temporaries, next to the buffer), and 1.01-1.02 at 1e8
+letters. Counting is exact.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ __all__ = [
 A = 0
 
 _LETTERS = bytes.maketrans(b"\x00\x01", b"ab")  # letter code -> ascii letter
+
+
+def _image(u: bytes, image_a: bytes, image_b: bytes) -> bytes:
+    """f(u), for u and the images f(a), f(b) given by letter codes: u spelled
+    in ascii letters, which no letter code equals, then one bytes.replace
+    per letter."""
+    return u.translate(_LETTERS).replace(b"a", image_a).replace(b"b", image_b)
 
 
 def _codes_from_str(s: str) -> np.ndarray:
@@ -210,12 +219,9 @@ class BinaryMorphism:
             )
 
     def apply(self, u: Word | str) -> Word:
-        u = Word.of(u)
-        la, lb = self.lengths()
-        nb = int(np.count_nonzero(u.data))
-        out = np.empty((len(u) - nb) * la + nb * lb, dtype=np.uint8)
-        _row_gather([self.image_a.data, self.image_b.data])(u.data, out)
-        return Word._adopt(out)
+        image = _image(Word.of(u).data.tobytes(), self.image_a.data.tobytes(),
+                       self.image_b.data.tobytes())
+        return Word._adopt(np.frombuffer(image, dtype=np.uint8))
 
     def __call__(self, u: Word | str) -> Word:
         return self.apply(u)
@@ -273,48 +279,6 @@ def parse_morphism(text: str) -> BinaryMorphism:
 
 
 _CHUNK = 2**16  # padded output letters per row gather: bounds the temporaries
-
-
-def _row_gather(images: Sequence[np.ndarray]):
-    """The kernel apply(arr, out) -> (written, consumed) writing images[c],
-    over the letters c of arr, into out; it stops at the first image that
-    does not fit whole, so the caller sizes out to bound the work. The images
-    are the rows of one padded table, and each chunk of _CHUNK // width
-    letters of arr is one row gather from it: straight into an (n, width)
-    view of out when all images have one length, else compressed into out by
-    the same gather of the padding mask. out's dtype follows the images."""
-    sizes = np.array([im.size for im in images], dtype=np.int64)
-    keep = np.arange(sizes.max()) < sizes[:, None]
-    table = np.zeros(keep.shape, dtype=images[0].dtype)
-    table[keep] = np.concatenate(images)
-    width, uniform = keep.shape[1], bool(keep.all())
-    step = max(1, _CHUNK // width)
-
-    def apply(arr: np.ndarray, out: np.ndarray) -> tuple[int, int]:
-        written = consumed = 0
-        while consumed < arr.size:
-            chunk = arr[consumed : consumed + step]
-            n, room = chunk.size, out.size - written
-            if n * width > room:
-                n = int(np.searchsorted(np.cumsum(sizes[chunk]), room, "right"))
-                chunk = chunk[:n]
-            # "clip" writes straight into out; "raise" would buffer a copy
-            if uniform:
-                total = n * width
-                rows = out[written : written + total].reshape(n, width)
-                np.take(table, chunk, axis=0, out=rows, mode="clip")
-            else:
-                mask = np.take(keep, chunk, axis=0, mode="clip")
-                total = int(np.count_nonzero(mask))
-                rows = np.take(table, chunk, axis=0, mode="clip").ravel()
-                np.compress(mask.ravel(), rows, out=out[written : written + total])
-            written += total
-            consumed += n
-            if n < step:
-                break  # arr is used up, or the next image does not fit
-        return written, consumed
-
-    return apply
 
 
 def _joined(blocks: tuple, sizes: tuple[int, int], letters: bytes, room: int) -> bytes:
@@ -376,57 +340,75 @@ def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
 _BLOCK_FROM = 2**19  # shorter prefixes are built by rounds alone
 
 
-def _stops_growing(rounds: Sequence[Sequence[int]], grown: Sequence[int]) -> bool:
-    """Whether some letter stops growing, given the sizes rounds[i][c] =
-    |f^i(c)| of rounds 0, ..., t - 1 and grown[c] = |f^t(c)|.
-
-    A letter c stops growing exactly when |f^t(c)| = |f^(t-n)(c)| for an
-    alphabet of n letters: n rounds without growth walk every letter of
-    f^(t-n)(c) through n + 1 single-letter images, so into a cycle of them."""
-    n = len(grown)
-    return len(rounds) >= n and any(g == r for g, r in zip(grown, rounds[-n]))
-
-
-def _block_rounds(images: Sequence[np.ndarray], length: int) -> list[np.ndarray] | None:
-    """The sizes |f^i(c)| of every letter c for i = 0, ..., j, j the least
-    round at which they all reach 16 sqrt(length) letters; or None when
-    blocks do not pay: a short prefix, a letter that stops growing, j <= 1
-    (the images are already that long), or blocks of over length / 8
-    letters in all, which also keeps the sizes far from overflow."""
-    if length < _BLOCK_FROM:
-        return None
-    n, target = len(images), 16 * math.isqrt(length)
-    counts = np.array([np.bincount(im, minlength=n) for im in images], dtype=np.int64)
-    rounds = [np.ones(n, dtype=np.int64)]
-    while rounds[-1].min() < target:
-        grown = counts @ rounds[-1]
-        if grown.sum() > length // 8 or _stops_growing(rounds, grown):
+def _ladder(images: Sequence[np.ndarray], target: int,
+            cap: int) -> list[tuple[int, int]] | None:
+    """The sizes (|f^i(a)|, |f^i(b)|) for i = 0, ..., t, t the least round
+    at which both reach `target` letters, in Python ints; or None when their
+    sum passes `cap` first, or when a letter c stops growing,
+    |f^t(c)| = |f^(t-2)(c)|: two rounds without growth walk every letter of
+    f^(t-2)(c) through three single-letter images, so into a cycle of them."""
+    counts = [(w.count(0), w.count(1)) for w in (im.tobytes() for im in images)]
+    rounds = [(1, 1)]
+    while min(rounds[-1]) < target:
+        la, lb = rounds[-1]
+        grown = tuple(na * la + nb * lb for na, nb in counts)
+        stopped = len(rounds) > 1 and any(g == r for g, r in zip(grown, rounds[-2]))
+        if sum(grown) > cap or stopped:
             return None
         rounds.append(grown)
-    return rounds if len(rounds) > 2 else None
+    return rounds
 
 
-def _block_pieces(images: Sequence[np.ndarray], rounds: list[np.ndarray],
+def _block_rounds(images: Sequence[np.ndarray], length: int) -> list[tuple[int, int]] | None:
+    """The _ladder of rounds 0, ..., j up to 16 sqrt(length) letters; or
+    None when blocks do not pay: a short prefix, a letter that stops
+    growing, j <= 1 (the images are already that long), or blocks of over
+    length / 8 letters in all."""
+    if length < _BLOCK_FROM:
+        return None
+    rounds = _ladder(images, 16 * math.isqrt(length), length // 8)
+    return rounds if rounds is not None and len(rounds) > 2 else None
+
+
+def _block_pieces(images: Sequence[np.ndarray], rounds: list[tuple[int, int]],
                   length: int) -> Iterator[np.ndarray]:
     """The first `length` letters of the fixed point s, as views of the
-    blocks f^j(c) (j = len(rounds) - 1), the last one cut short.
+    blocks f^j(a) and f^j(b) (j = len(rounds) - 1), the last one cut short.
 
     s is its own image under f^j, so it is the blocks of the letters of its
-    head, the first ceil(length / min|f^j(c)|) letters of s, in order. The
-    blocks of all letters sit in one array, f^i(0 1 ... n-1), and each
-    round is one _row_gather of the last into an array of the next sizes."""
-    apply = _row_gather(images)
-    blocks = np.arange(len(images), dtype=images[0].dtype)
-    for sizes in rounds[1:]:
-        grown = np.empty(int(sizes.sum()), dtype=blocks.dtype)
-        apply(blocks, grown)
+    head, the first ceil(length / min|f^j(c)|) letters of s, in order. Both
+    blocks sit in one array, f^i(ab); a round gathers its letters, _CHUNK //
+    width at a time, as rows of the images padded to width letters, into an
+    array of the next sizes: straight into an (n, width) view when the
+    images have one length, else compressed by the same gather of the mask."""
+    sizes = np.array([im.size for im in images])
+    keep = np.arange(sizes.max()) < sizes[:, None]
+    table = np.zeros(keep.shape, dtype=np.uint8)
+    table[keep] = np.concatenate(images)
+    width, uniform = keep.shape[1], bool(keep.all())
+    step = max(1, _CHUNK // width)
+    blocks = np.arange(2, dtype=np.uint8)
+    for la, lb in rounds[1:]:
+        grown, pos = np.empty(la + lb, dtype=np.uint8), 0
+        for lo in range(0, blocks.size, step):
+            chunk = blocks[lo : lo + step]
+            # "clip" writes straight into grown; "raise" would buffer a copy
+            if uniform:
+                end = pos + chunk.size * width
+                np.take(table, chunk, axis=0, out=grown[pos:end].reshape(-1, width), mode="clip")
+            else:
+                mask = np.take(keep, chunk, axis=0, mode="clip").ravel()
+                end = pos + int(np.count_nonzero(mask))
+                rows = np.take(table, chunk, axis=0, mode="clip").ravel()
+                np.compress(mask, rows, out=grown[pos:end])
+            pos = end
         blocks = grown
-    starts = np.cumsum([0] + rounds[-1].tolist()).tolist()
-    pos = 0
-    for c in _expand_prefix(images, -(-length // int(rounds[-1].min()))).tolist():
-        end = min(starts[c + 1], starts[c] + length - pos)
-        yield blocks[starts[c] : end]
-        pos += end - starts[c]
+    la, lb = rounds[-1]
+    pieces, pos = (blocks[:la], blocks[la:]), 0
+    for c in _expand_prefix(images, -(-length // min(la, lb))).tolist():
+        piece = pieces[c][: length - pos]
+        yield piece
+        pos += piece.size
         if pos == length:
             return
 

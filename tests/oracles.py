@@ -166,6 +166,18 @@ def last_round_lengths(images: list[list[int]], m: int) -> list[int]:
     return [len(w) + width - 1, len(w) + width]
 
 
+def state_switch_lengths(k: int, chunk: int) -> list[int]:
+    """Prefix lengths around the step at which the expansion of a k-uniform
+    fixed point stops gathering the rows of the i (k-1) states it knows past
+    state i and gathers chunk // k: the first i = k^e with
+    i (k-1) >= chunk // k. Lengths one letter short of, at and past the
+    rows of the first i and the first i + chunk // k states."""
+    step, i = chunk // k, 1
+    while i * (k - 1) < step:
+        i *= k
+    return [r * k + d for r in (i, i + step) for d in (-1, 0, 1)]
+
+
 def naive_chunks(image_a: str, image_b: str, t: int):
     """Level t >= 1 of the pure criterion, read off f^t(a) and f^t(b).
 

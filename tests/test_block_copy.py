@@ -20,9 +20,9 @@ from abmorph import (
     parse_morphism,
     rank1_decompose,
 )
-from abmorph.words import _BLOCK_FROM, _block_rounds
-from conftest import random_morphism, random_rank1_morphism
-from oracles import naive_fixed_point, naive_fixed_point_codes
+from abmorph.words import _BLOCK_FROM, _CHUNK, _block_rounds
+from conftest import random_morphism
+from oracles import naive_fixed_point, naive_fixed_point_codes, state_switch_lengths
 
 
 def _images(f):
@@ -40,7 +40,7 @@ def _block_ends(images, length: int, want: list[int]) -> list[int]:
     rounds = _block_rounds(images, length)
     if rounds is None:
         return []
-    sizes = rounds[-1].tolist()
+    sizes = list(rounds[-1])
     ends, end = [], 0
     for c in want:
         end += sizes[c]
@@ -82,18 +82,15 @@ class TestAgainstNaive:
                 assert got.data.tolist() == want[:n], (f, n)
         assert blocked >= 3  # most draws reach block copy
 
-    def test_int32_lift_tables(self, rng):
-        # A k-uniform lift always grows, but blocks of all its states pay
-        # only once they stay under an eighth of the prefix: past 2**19
-        # letters for 6 states and k = 3.
-        texts = ["a->ab; b->ba", "a->ab; b->bbaa"]
-        texts += [random_rank1_morphism(rng, 1, 2).to_text() for _ in range(2)]
-        for text in texts:
+    def test_int32_lift_tables(self):
+        # A lift expands by its own k-uniform rows: the rows of all i (k-1)
+        # known states past state i per step, then of _CHUNK // k at a time.
+        for text, k in [("a->ab; b->ba", 2), ("a->ab; b->bbaa", 3),
+                        ("a->aaaaaaabbbbbbb; b->" + "ba" * 7, 14)]:
             lift = _lift_of(parse_morphism(text))
-            table = np.array(lift.images, dtype=np.int32)
-            want = naive_fixed_point_codes([list(im) for im in lift.images], 2**20)
-            lengths = _lengths(table, want)
-            assert len(lengths) > 3, text
+            assert lift.k == k
+            lengths = state_switch_lengths(k, _CHUNK)
+            want = naive_fixed_point_codes([list(im) for im in lift.images], max(lengths))
             for n in lengths:
                 got = lift_fixed_prefix(lift, n)
                 assert got.dtype == np.int32

@@ -25,7 +25,7 @@ from abmorph import (
 from abmorph.lift import _power_rows
 from abmorph.words import _CHUNK
 from conftest import random_rank1_morphism
-from oracles import last_round_lengths, naive_fixed_point_codes
+from oracles import last_round_lengths, naive_fixed_point_codes, state_switch_lengths
 
 
 def lift_of(text):
@@ -65,6 +65,13 @@ class TestBuildLift:
                 assert len(img) == lift.k
                 assert all(0 <= s < lift.size for s in img)
             assert lift.images[0][0] == 0  # prolongable on the first state
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_degenerate_trace_rejected_at_construction(self, k):
+        # base-k digits with k < 2 never end: dfao_eval and the expansions
+        # would loop forever
+        with pytest.raises(DegenerateTraceError):
+            UniformLift(1, 1, k, ((0,) * k, (1,) * k), ("a", "b"))
 
     def test_degenerate_forms_rejected(self):
         f = parse_morphism("a->ab; b->a")
@@ -170,6 +177,7 @@ class TestLiftKernel:
             lengths = [0, 1, lift.k]
             for m in (_CHUNK - 1, _CHUNK, _CHUNK + 1):
                 lengths += last_round_lengths(images, m)
+            lengths += state_switch_lengths(lift.k, _CHUNK)
             want = naive_fixed_point_codes(images, max(lengths))
             for n in lengths:
                 got = lift_fixed_prefix(lift, n)
@@ -294,9 +302,9 @@ POWER_LIFTS = ["a->ab; b->ba", "a->ab; b->bbaa", "a->aabbb; b->bbaab",
 def power_case(request):
     """(f, lift, k^j, lengths, naive states): the lengths sit at k, at k^j,
     at the first chunk boundary of lift_verify, (_CHUNK // k^j) * k^j,
-    where the last round of the state expansion stops around the first
-    chunk boundary of its row gather, _CHUNK // k tail states, and at
-    3^12, the default horizon of `abmorph residues`."""
+    where the last round of the telescoping expansion x = 0 y F(y) ...
+    stops around _CHUNK // k tail states, and at 3^12, the default horizon
+    of `abmorph residues`."""
     f, lift = lift_of(request.param)
     images = [list(im) for im in lift.images]
     width = power_width(lift)

@@ -17,7 +17,8 @@ from abmorph import (
     periodic_prefix,
     validate_abelian_period,
 )
-from abmorph.periodic import _image, _smallest_period
+from abmorph.periodic import _smallest_period
+from abmorph.words import _image
 from conftest import random_morphism
 from oracles import (
     eventually_periodic_prefix,
