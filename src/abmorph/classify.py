@@ -224,8 +224,9 @@ class Verdict:
 
 def _cover(f: BinaryMorphism, n: int, longest: int) -> int:
     """A prefix length of at most n whose prefix of s = f^omega(a) holds
-    every window of at most `longest` letters of s[0:n]; n itself when a
-    letter stops growing, or the two blocks below pass n letters first.
+    every window of at most `longest` letters of s[0:n]; n itself when
+    f(b) = b (b's block stays one letter), or the two blocks below pass n
+    letters first.
 
     With k the least level at which f^k(a) and f^k(b) both have at least
     longest - 1 letters, s = f^k(s) is the blocks f^k(s_j) in order, and a
@@ -265,11 +266,12 @@ def imbalance_evidence(
     (the two-block argument of factor complexity). That prefix, a part of
     s[0:horizon], has exactly the windows of s[0:horizon] up to that width,
     so the spreads and the reported `horizon` are those of the whole
-    horizon. At the
-    default 10^5 letters the first stage reads a few thousand letters (the
-    166 evidence morphisms of the seed-1 bench corpus: median 3,884, p90
-    9,540); a letter that stops growing, and the stage past 255, read all
-    of them."""
+    horizon. At the default 10^5 letters the first stage reads a few
+    thousand letters (the 166 evidence morphisms of the seed-1 bench
+    corpus: median 3,884, p90 9,540); f(b) = b, and the stage past 255,
+    read all of them. f must be prolongable on a (NotProlongableError
+    otherwise): _cover's ladder ends because f^k(a) grows every round."""
+    f.require_prolongable()
     if target < 1:
         raise ValueError("target must be >= 1")
     if horizon < 2:

@@ -15,6 +15,7 @@ __all__ = [
     "OutOfRangeError",
     "NotCoprimeError",
     "DegenerateTraceError",
+    "MalformedLiftError",
 ]
 
 
@@ -72,3 +73,8 @@ class NotCoprimeError(AbmorphError, ValueError):
 
 class DegenerateTraceError(AbmorphError, ValueError):
     """The lift needs base k = trace >= 2; k < 2 cannot index digit positions."""
+
+
+class MalformedLiftError(AbmorphError, ValueError):
+    """A uniform lift's table does not fit its size, base or alphabet, or is
+    not prolongable on state 0."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTraceError, OutOfRangeError
+from .errors import DegenerateTraceError, MalformedLiftError, OutOfRangeError
 from .matrices import Rank1Form
 from .words import _CHUNK, BinaryMorphism, _prefix_pieces
 
@@ -38,7 +38,9 @@ class UniformLift:
     State ids enumerate the pairs (a, 0..|f(a)|-1) first, then
     (b, 0..|f(b)|-1). images[s] lists the k successor states of state s;
     coding[s] is the fixed-point letter at positions annotated by s. State 0
-    is the initial state (a, 0)."""
+    is the initial state (a, 0). A lift built by hand is checked: k >= 2,
+    one k-wide row and one letter 'a' or 'b' per state, every state in
+    [0, size), and images[0][0] = 0."""
 
     image_length_a: int
     image_length_b: int
@@ -49,6 +51,20 @@ class UniformLift:
     def __post_init__(self):
         if self.k < 2:  # dfao_eval's digits and the expansions would never end
             raise DegenerateTraceError(f"lift needs trace >= 2, got {self.k}")
+        # the expansions gather rows with mode="clip", so a state out of
+        # range would read the last row silently
+        size, images = self.size, self.images
+        if len(images) != size or len(self.coding) != size:
+            raise MalformedLiftError(
+                f"lift of {size} states has {len(images)} rows and {len(self.coding)} letters")
+        if set(map(len, images)) != {self.k}:
+            raise MalformedLiftError(f"every row must be {self.k} states wide")
+        if images[0][0] != 0:
+            raise MalformedLiftError("lift must be prolongable on state 0")
+        if not set().union(*images) <= set(range(size)):
+            raise MalformedLiftError(f"states must lie in [0, {size})")
+        if not set(self.coding) <= {"a", "b"}:
+            raise MalformedLiftError("coding letters must be 'a' or 'b'")
 
     @property
     def size(self) -> int:
@@ -85,9 +101,7 @@ def build_lift(f: BinaryMorphism, form: Rank1Form) -> UniformLift:
                 "image lengths do not scale by the trace; the matrix is not rank 1"
             )
         images.extend(tuple(ann[i : i + k]) for i in range(0, len(ann), k))
-    lift = UniformLift(la, lb, k, tuple(images), tuple(image_a + image_b))
-    assert lift.images[0][0] == 0, "lift must be prolongable on state 0"
-    return lift
+    return UniformLift(la, lb, k, tuple(images), tuple(image_a + image_b))
 
 
 def _expand_states(table: np.ndarray, length: int) -> np.ndarray:

@@ -163,11 +163,23 @@ def configuration_of(f: BinaryMorphism, form: Rank1Form, t: int) -> CutConfigura
     """Where the n-1 cuts of f^t(a) and the m-1 cuts of f^t(b) fall.
 
     Cut i sits at position i * (A+B) k^(t-1); the descriptor records the
-    block letter and offset at that position, read off its lift state."""
+    block letter and offset at that position, read off its lift state.
+    Each level is a function of the one before, so the walk stops at the
+    first repeated tuple of cut states and reads level t off the cycle:
+    the work is bounded by the cycle, not by t."""
     if t < 1:
         raise ValueError("t must be >= 1")
     lift = build_lift(f, form)
-    states = next(islice(_cut_levels(lift, form), t - 1, None))
+    index: dict[tuple[int, ...], int] = {}  # the cut states of level i + 1 -> i
+    for states in _cut_levels(lift, form):
+        if len(index) == t or states in index:
+            break
+        index[states] = len(index)
+    levels, i = list(index), t - 1
+    if i >= len(levels):  # levels index[states] + 1, ..., len(levels) repeat
+        start = index[states]
+        i = start + (i - start) % (len(levels) - start)
+    states = levels[i]
     cuts = [CutDescriptor(*lift.letter_pair(s)) for s in states]
     return CutConfiguration(tuple(cuts[: form.n - 1]), tuple(cuts[form.n - 1 :]))
 

@@ -7,15 +7,16 @@ prefix is block copies: the blocks f^j(a) and f^j(b) of about
 16 sqrt(length) letters (sized by _ladder), built by row gathers from a
 padded image table, each under _CHUNK letters, and copied into one buffer
 of exactly `length` letters in the order of a short head of s. Short
-prefixes, and morphisms with a letter that stops growing, are built by
-rounds in one bytearray: f^(t+1)(a) is f^t(a) followed by the blocks f^t(c)
-of the letters of f(a)[1:], one slice assignment per letter, where a's
-block is the buffer itself and b's next block is one b"".join of the blocks
-of f(b). The tracemalloc peak at 1e5 letters is 1.69 bytes per letter for
-Thue-Morse, 1.55 for Fibonacci and 1.88 for a->ab; b->bbaa (the buffer and
-b's last two blocks); at 1e7 letters it is 1.05, 1.09 and 1.11 (the blocks
-and the gather temporaries, next to the buffer), and 1.01-1.02 at 1e8
-letters. Counting is exact.
+prefixes, and morphisms with f(b) = b (b's block stays one letter), are
+built by rounds in one bytearray: f^(t+1)(a) is f^t(a) followed by the
+blocks f^t(c) of the letters of f(a)[1:], one slice assignment per letter,
+where a's block is the buffer itself and b's next block is one b"".join of
+the blocks of f(b); s = a b^omega is written directly. The tracemalloc
+peak at 1e5 letters is 1.69 bytes per letter for Thue-Morse, 1.55 for
+Fibonacci and 1.88 for a->ab; b->bbaa (the buffer and b's last two
+blocks); at 1e7 letters it is 1.05, 1.09 and 1.11 (the blocks and the
+gather temporaries, next to the buffer), and 1.01-1.02 at 1e8 letters.
+Counting is exact.
 """
 
 from __future__ import annotations
@@ -298,42 +299,35 @@ def _expand_rounds(images: Sequence[np.ndarray], length: int) -> np.ndarray:
     morphism given by `images`, prolongable on letter 0, as a writable
     uint8 array.
 
-    Round t turns f^t(0) into f^(t+1)(0) = f^t(0) followed by the blocks
-    f^t(c) of the letters c of images[0][1:], one slice assignment per
-    letter into one bytearray of `length` letters (|f(0)| if that is more).
-    The block of 0 is a memoryview of that buffer; the block of 1 is a
-    bytes object, and the next one is one b"".join of the blocks of
+    f(0) = 0 1^j with f(1) = 1, the only images whose rounds grow linearly,
+    gives 0 1^omega, written directly. Otherwise round t turns f^t(0) into
+    f^(t+1)(0) = f^t(0) followed by the blocks f^t(c) of the letters c of
+    images[0][1:], one slice assignment per letter into one bytearray of
+    `length` letters (|f(0)| if that is more), until `length` letters are
+    written. The block of 0 is a memoryview of that buffer; the block of 1
+    is a bytes object, and the next one is one b"".join of the blocks of
     images[1], cut at the letters still to be written (no later round reads
-    further into it). A round stops once `length` letters are written.
-
-    A tail equal to the last (f(x_t) = x_t for the tail x_t of round t)
-    means the rest is x_t^omega, tiled by doubling copies of the filled
-    periodic part: linear growth stays O(length).
+    further into it).
     """
     first, image = (im.tobytes() for im in images)
+    if first.count(0) == 1 and image == b"\1":
+        out = np.ones(length, dtype=np.uint8)
+        out[:1] = 0
+        return out
     out = bytearray(max(length, len(first)))
     out[: len(first)] = first
     word = memoryview(out)
-    tail, block, lo, total = first[1:], image, 1, len(first)
+    tail, block, total = first[1:], image, len(first)
     while total < length:
         blocks, sizes = (word[:total], block), (total, len(block))
-        pos = total
         for c in tail:
-            end = pos + sizes[c]
+            end = total + sizes[c]
             if end >= length:
-                word[pos:length] = memoryview(blocks[c])[: length - pos]
-                pos = length
-                break
-            word[pos:end] = blocks[c]
-            pos = end
-        if pos < length and pos - total == total - lo and out.startswith(word[lo:total], total):
-            while pos < length:  # out[lo:pos] is whole periods of the rest: tile them
-                n = min(pos - lo, length - pos)
-                word[pos : pos + n] = word[lo : lo + n]
-                pos += n
-        elif pos < length:
-            block = _joined(blocks, sizes, image, length - pos)
-        lo, total = total, pos
+                word[total:length] = memoryview(blocks[c])[: length - total]
+                return np.frombuffer(out, dtype=np.uint8, count=length)
+            word[total:end] = blocks[c]
+            total = end
+        block = _joined(blocks, sizes, image, length - total)
     return np.frombuffer(out, dtype=np.uint8, count=length)
 
 
@@ -344,16 +338,17 @@ def _ladder(images: Sequence[np.ndarray], target: int,
             cap: int) -> list[tuple[int, int]] | None:
     """The sizes (|f^i(a)|, |f^i(b)|) for i = 0, ..., t, t the least round
     at which both reach `target` letters, in Python ints; or None when their
-    sum passes `cap` first, or when a letter c stops growing,
-    |f^t(c)| = |f^(t-2)(c)|: two rounds without growth walk every letter of
-    f^(t-2)(c) through three single-letter images, so into a cycle of them."""
+    sum passes `cap` first, or when f(b) = b while a round is still needed:
+    for f prolongable on a, a grows every round, and b stops growing
+    exactly when f(b) = b."""
+    if target > 1 and images[1].tobytes() == b"\1":
+        return None
     counts = [(w.count(0), w.count(1)) for w in (im.tobytes() for im in images)]
     rounds = [(1, 1)]
     while min(rounds[-1]) < target:
         la, lb = rounds[-1]
         grown = tuple(na * la + nb * lb for na, nb in counts)
-        stopped = len(rounds) > 1 and any(g == r for g, r in zip(grown, rounds[-2]))
-        if sum(grown) > cap or stopped:
+        if sum(grown) > cap:
             return None
         rounds.append(grown)
     return rounds
@@ -361,9 +356,9 @@ def _ladder(images: Sequence[np.ndarray], target: int,
 
 def _block_rounds(images: Sequence[np.ndarray], length: int) -> list[tuple[int, int]] | None:
     """The _ladder of rounds 0, ..., j up to 16 sqrt(length) letters; or
-    None when blocks do not pay: a short prefix, a letter that stops
-    growing, j <= 1 (the images are already that long), or blocks of over
-    length / 8 letters in all."""
+    None when blocks do not pay: a short prefix, f(b) = b (b's block stays
+    one letter), j <= 1 (the images are already that long), or blocks of
+    over length / 8 letters in all."""
     if length < _BLOCK_FROM:
         return None
     rounds = _ladder(images, 16 * math.isqrt(length), length // 8)
@@ -405,7 +400,7 @@ def _block_pieces(images: Sequence[np.ndarray], rounds: list[tuple[int, int]],
         blocks = grown
     la, lb = rounds[-1]
     pieces, pos = (blocks[:la], blocks[la:]), 0
-    for c in _expand_prefix(images, -(-length // min(la, lb))).tolist():
+    for c in _expand_rounds(images, -(-length // min(la, lb))).tolist():
         piece = pieces[c][: length - pos]
         yield piece
         pos += piece.size
@@ -432,7 +427,7 @@ def _expand_prefix(images: Sequence[np.ndarray], length: int) -> np.ndarray:
     rounds = _block_rounds(images, length)
     if rounds is None:
         return _expand_rounds(images, length)
-    out = np.empty(length, dtype=images[0].dtype)
+    out = np.empty(length, dtype=np.uint8)
     pos = 0
     for piece in _block_pieces(images, rounds, length):
         out[pos : pos + piece.size] = piece

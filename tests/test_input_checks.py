@@ -10,6 +10,7 @@ from abmorph import (
     HorizonTooShortError,
     MorphismMatrix,
     MorphismSyntaxError,
+    NotProlongableError,
     OutOfRangeError,
     Word,
     abelian_period_oracle,
@@ -127,6 +128,11 @@ class TestClassify:
         # count as reached; the report schema asks for a target of at least 1.
         with pytest.raises(ValueError, match="target must be >= 1"):
             imbalance_evidence(parse_morphism("a->aa; b->ab"), 100, 0)
+
+    def test_evidence_of_a_non_prolongable_morphism(self):
+        # a->b; b->a never grows: the prefix sizes would stay (1, 1) forever
+        with pytest.raises(NotProlongableError, match="not prolongable on a"):
+            imbalance_evidence(parse_morphism("a->b; b->a"), 100, 4)
 
 
 class TestAnalysis:

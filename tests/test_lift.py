@@ -8,6 +8,7 @@ import pytest
 
 from abmorph import (
     DegenerateTraceError,
+    MalformedLiftError,
     Rank1Form,
     UniformLift,
     build_lift,
@@ -369,3 +370,37 @@ class TestPowerRows:
             tracemalloc.stop()
         assert ok
         assert peak / n <= 1.1
+
+
+class TestHandBuiltLifts:
+    """UniformLift checks a hand-built table before any expansion reads it:
+    the expansions gather rows with mode="clip", so a state past the table
+    would read the last row silently."""
+
+    def test_state_outside_the_table(self):
+        # used to expand as [0 5 1 0 1 0 0 5] while dfao_eval raised IndexError
+        with pytest.raises(MalformedLiftError, match=r"states must lie in \[0, 2\)"):
+            UniformLift(2, 0, 2, ((0, 5), (1, 0)), ("a", "b"))
+        with pytest.raises(MalformedLiftError, match="states must lie"):
+            UniformLift(2, 0, 2, ((0, 1), (-1, 0)), ("a", "b"))
+
+    def test_row_not_k_wide(self):
+        with pytest.raises(MalformedLiftError, match="every row must be 2 states wide"):
+            UniformLift(2, 0, 2, ((0, 1), (1, 0, 1)), ("a", "b"))
+
+    def test_rows_and_letters_match_the_size(self):
+        with pytest.raises(MalformedLiftError, match="has 1 rows and 2 letters"):
+            UniformLift(1, 1, 2, ((0, 1),), ("a", "b"))
+        with pytest.raises(MalformedLiftError, match="has 2 rows and 1 letters"):
+            UniformLift(1, 1, 2, ((0, 1), (1, 0)), ("a",))
+        with pytest.raises(MalformedLiftError):
+            UniformLift(0, 0, 2, (), ())
+
+    def test_coding_letters(self):
+        with pytest.raises(MalformedLiftError, match="coding letters"):
+            UniformLift(1, 1, 2, ((0, 1), (1, 0)), ("a", "c"))
+
+    def test_prolongable_on_state_0(self):
+        with pytest.raises(MalformedLiftError, match="prolongable on state 0"):
+            UniformLift(1, 1, 2, ((1, 0), (0, 1)), ("a", "b"))
+

@@ -2,6 +2,8 @@
 block-position residues."""
 
 import math
+import time
+from itertools import islice
 
 import pytest
 
@@ -29,7 +31,7 @@ from abmorph import (
     rank1_decompose,
     validate_abelian_period,
 )
-from abmorph.rank1 import _e_values
+from abmorph.rank1 import _cut_levels, _e_values
 from conftest import random_morphism, random_rank1_morphism
 from oracles import (
     naive_chunks,
@@ -115,6 +117,33 @@ class TestConfiguration:
                 for cut in cfg.a_cuts + cfg.b_cuts:
                     limit = len(f.image(cut.block_letter))
                     assert 0 <= cut.offset < limit
+
+
+class TestConfigurationCycle:
+    """configuration_of walks levels only to the first repeated tuple of
+    cut states, then reads level t off the cycle."""
+
+    def test_matches_the_level_walk(self, rng):
+        for _ in range(60):
+            f = random_rank1_morphism(rng)
+            form = form_of(f)
+            lift = build_lift(f, form)
+            walk = list(islice(_cut_levels(lift, form), 50))
+            for t in range(1, 51):
+                cuts = [CutDescriptor(*lift.letter_pair(s)) for s in walk[t - 1]]
+                want = CutConfiguration(tuple(cuts[: form.n - 1]), tuple(cuts[form.n - 1 :]))
+                assert configuration_of(f, form, t) == want, (f, t)
+
+    def test_huge_level_is_read_off_the_cycle(self):
+        # cycles of length 1 from level 3 at the latest, and (a->aaabbb) of
+        # length 2 from level 2; 10^12 - 48 is a multiple of both
+        start = time.perf_counter()
+        for text in ["a->ab; b->bbaa", "a->abba; b->ab", "a->ab; b->aabb",
+                     "a->aaabbb; b->aabb"]:
+            f = parse_morphism(text)
+            form = form_of(f)
+            assert configuration_of(f, form, 10**12) == configuration_of(f, form, 48)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCheckPureAt:
