@@ -4,11 +4,20 @@ The decision tree branches on primitivity and the second eigenvalue. All
 positive answers and all spectral refutations are proofs; the remaining
 outcomes are explicitly bounded searches, and Unknown is a first-class
 answer because the rank-1 eventual case has no known scan bound.
+
+The refutations for |theta2| > 1 and theta2 = 1 carry a discrepancy
+certificate: Delta(w) = |w|_a - alpha |w|, alpha the a-frequency, is the
+left theta2-eigenvector applied to the Parikh vector of w, so
+Delta(f(w)) = theta2 Delta(w), and an abelian periodic word has bounded Delta
+over its prefixes. The certificate is exact arithmetic on f's images and
+matrix and expands no prefix (balance theory of substitutive words:
+Adamczewski, Balances for fixed points of primitive substitutions, TCS 2003).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 
 from .analysis import _prefix_counts, _window_spread
@@ -21,21 +30,24 @@ from .matrices import (
     THETA2_IRRATIONAL,
     THETA2_ZERO,
     FrequencyReport,
+    MorphismMatrix,
     Rank1Form,
     SpectralProfile,
     _frequencies_of,
+    _ratio,
     matrix_of,
     rank1_decompose,
     spectral_profile,
 )
 from .periodic import PeriodicityVerdict, _check_search_bounds, decide_periodic
 from .rank1 import EventualWitness, PureVerdict, decide_pure, eventual_scan
-from .words import BinaryMorphism, _ladder, fixed_point_prefix
+from .words import BinaryMorphism, ParikhVector, _ladder, fixed_point_prefix
 
 __all__ = [
     "Verdict",
     "ClassifyOptions",
     "ImbalanceEvidence",
+    "DiscrepancyCertificate",
     "classify",
     "special_form_exponents",
     "imbalance_evidence",
@@ -81,30 +93,30 @@ REASON_PURE_REFUTED_OPEN = "Rank1_PureRefuted_EventualOpen"
 REASON_RESOURCE_EXHAUSTED = "ResourceExhausted"
 
 # The whole outcome policy, one row per reason: the answer and certainty the
-# reason implies, and whether the verdict carries imbalance evidence. The
-# router in classify picks only the reason and its witnesses.
+# reason implies. The router in classify picks only the reason, its witnesses
+# and its evidence.
 OUTCOMES = {
-    REASON_SPECIAL_FORM: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
-    REASON_CHUNKS_EQUIVALENT: (ANSWER_PURE_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
-    REASON_EVENTUAL_WITNESS: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
-    REASON_GT_ONE_UNBALANCED: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED, True),
-    REASON_IRRATIONAL_FREQUENCIES: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
-    REASON_ONE_FORM_FAILS: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED, True),
-    REASON_MINUS_ONE: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
-    REASON_NONPRIMITIVE_PERIODIC: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED, False),
+    REASON_SPECIAL_FORM: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED),
+    REASON_CHUNKS_EQUIVALENT: (ANSWER_PURE_ABELIAN_PERIODIC, CERTAINTY_PROVED),
+    REASON_EVENTUAL_WITNESS: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED),
+    REASON_GT_ONE_UNBALANCED: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED),
+    REASON_IRRATIONAL_FREQUENCIES: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED),
+    REASON_ONE_FORM_FAILS: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED),
+    REASON_MINUS_ONE: (ANSWER_NOT_ABELIAN_PERIODIC, CERTAINTY_PROVED),
+    REASON_NONPRIMITIVE_PERIODIC: (ANSWER_ABELIAN_PERIODIC, CERTAINTY_PROVED),
     REASON_NONPRIMITIVE_NO_PERIOD: (
         ANSWER_NOT_ABELIAN_PERIODIC,
         CERTAINTY_BOUNDED_SEARCH,
-        True,
     ),
-    REASON_PURE_REFUTED_OPEN: (ANSWER_UNKNOWN, CERTAINTY_BOUNDED_SEARCH, False),
-    REASON_RESOURCE_EXHAUSTED: (ANSWER_UNKNOWN, CERTAINTY_BOUNDED_SEARCH, False),
+    REASON_PURE_REFUTED_OPEN: (ANSWER_UNKNOWN, CERTAINTY_BOUNDED_SEARCH),
+    REASON_RESOURCE_EXHAUSTED: (ANSWER_UNKNOWN, CERTAINTY_BOUNDED_SEARCH),
 }
 REASONS = tuple(OUTCOMES)
-ANSWERS = tuple(dict.fromkeys(answer for answer, _, _ in OUTCOMES.values()))
-CERTAINTIES = tuple(dict.fromkeys(certainty for _, certainty, _ in OUTCOMES.values()))
+ANSWERS = tuple(dict.fromkeys(answer for answer, _ in OUTCOMES.values()))
+CERTAINTIES = tuple(dict.fromkeys(certainty for _, certainty in OUTCOMES.values()))
 
-# imbalance a window scan tries to reach before it stops early
+# |Delta| a certificate's prefix reaches, and the imbalance a window scan
+# tries to reach before it stops early
 EVIDENCE_TARGET = 4
 
 
@@ -126,7 +138,9 @@ class ClassifyOptions:
     eventual_k_max limits the eventual-witness level scan; the offset budget
     caps the total cut offsets tried across levels (the per-level offset
     count is the period and grows geometrically). horizon is the prefix
-    length used for imbalance evidence; below 2 it gives none."""
+    length of the window evidence of NonPrimitive_NoPeriodFound; below 2 it
+    gives none. The discrepancy certificates of the spectral refutations
+    read no prefix, so the horizon leaves them alone."""
 
     eventual_k_max: int = 8
     eventual_offset_budget: int = 10**6
@@ -153,7 +167,8 @@ class ClassifyOptions:
 class ImbalanceEvidence:
     """Largest window-count spread found by a geometric window-length scan.
 
-    Supporting measurement only: no verdict's correctness rests on it."""
+    The evidence of NonPrimitive_NoPeriodFound, a bounded search. Supporting
+    measurement only: no verdict's correctness rests on it."""
 
     window_length: int
     imbalance: int
@@ -166,21 +181,74 @@ class ImbalanceEvidence:
 
 
 @dataclass(frozen=True)
+class DiscrepancyCertificate:
+    """Horizon-free proof that Delta(w) = |w|_a - alpha |w| is unbounded over
+    the prefixes of s = f^omega(a), so s is not abelian periodic.
+
+    kind "irrational_frequencies": |theta2| > 1 with theta2 irrational; the
+    frequencies are irrational, which refutes, and the verdict's
+    FrequencyReport holds them. Every other field is None.
+
+    kind "theta2_power": theta2 an integer with |theta2| >= 2, so
+    Delta(f^k(a)) = theta2^k (1 - alpha). k is the least level with
+    |Delta| >= EVIDENCE_TARGET, length = |f^k(a)| and delta = Delta(f^k(a)).
+    With alpha = p/q, k <= log2(4q) + 1, so length stays a short number.
+
+    kind "theta2_one_cycle": theta2 = 1, so whole images keep Delta, and
+    Delta(s[:x]) is the sum of h(c, i) = Delta(f(c)[:i]) over the digit path
+    of x, edges (c, i) from a, each to the node f(c)[i]. loop = (c, i) is a
+    loop, f(c)[i] = c, of h `weight` != 0 (one always exists, see
+    _certificate); entry is None when c = a, else the offset of the first b
+    of f(a), the edge from a into the loop. The digit path of entry, then
+    the loop r >= 1 times, has k digits and names a prefix of f^k(a) with
+    delta = Delta, r the least with |delta| >= EVIDENCE_TARGET; one more
+    turn adds `weight` (digit paths: Allouche-Shallit, Automatic Sequences,
+    2003). length stays None: r grows with alpha's denominator and the
+    prefix like the Perron eigenvalue to the power r, thousands of digits
+    for images of a thousand letters, and entry, loop and k fix it."""
+
+    kind: str
+    k: int | None = None
+    length: int | None = None
+    delta: Fraction | None = None
+    entry: int | None = None
+    loop: tuple[str, int] | None = None
+    weight: Fraction | None = None
+
+    def to_json(self) -> dict:
+        """Lengths are decimal strings, Delta values "p/q" strings and the
+        loop a [letter, offset] list."""
+
+        def ratio(x):
+            return None if x is None else _ratio(x)
+
+        return {
+            **vars(self),
+            "length": None if self.length is None else str(self.length),
+            "delta": ratio(self.delta),
+            "loop": None if self.loop is None else list(self.loop),
+            "weight": ratio(self.weight),
+        }
+
+
+@dataclass(frozen=True)
 class Verdict:
     """A reason with the witnesses and bounds behind it.
 
     The answer and certainty are the reason's row in OUTCOMES; the claimed
-    abelian period is read off the witness of a periodic answer."""
+    abelian period is read off the witness of a periodic answer. matrix is
+    f's incidence matrix, built once by classify."""
 
     reason: str
     spectral: SpectralProfile
+    matrix: MorphismMatrix
     rank1: Rank1Form | None = None
     pure: PureVerdict | None = None
     eventual: EventualWitness | None = None
     periodicity: PeriodicityVerdict | None = None
     special_form: tuple[int, int] | None = None
     frequencies: FrequencyReport | None = None
-    evidence: ImbalanceEvidence | None = None
+    evidence: ImbalanceEvidence | DiscrepancyCertificate | None = None
     bounds: tuple[tuple[str, int], ...] = ()
 
     @property
@@ -266,11 +334,12 @@ def imbalance_evidence(
     (the two-block argument of factor complexity). That prefix, a part of
     s[0:horizon], has exactly the windows of s[0:horizon] up to that width,
     so the spreads and the reported `horizon` are those of the whole
-    horizon. At the default 10^5 letters the first stage reads a few
-    thousand letters (the 166 evidence morphisms of the seed-1 bench
-    corpus: median 3,884, p90 9,540); f(b) = b, and the stage past 255,
-    read all of them. f must be prolongable on a (NotProlongableError
-    otherwise): _cover's ladder ends because f^k(a) grows every round."""
+    horizon. At the default 10^5 letters, where both letters grow, the
+    first stage reads a few thousand letters (under 10^4 on the golden
+    refutations); f(b) = b, and the stage past 255, read all of them.
+    classify attaches it to NonPrimitive_NoPeriodFound only. f must be
+    prolongable on a (NotProlongableError otherwise): _cover's ladder ends
+    because f^k(a) grows every round."""
     f.require_prolongable()
     if target < 1:
         raise ValueError("target must be >= 1")
@@ -298,27 +367,95 @@ def imbalance_evidence(
     return ImbalanceEvidence(best_len, best_im, n, target, False)
 
 
+def _certificate(
+    f: BinaryMorphism, mat: MorphismMatrix, prof: SpectralProfile, alpha: Fraction
+) -> DiscrepancyCertificate:
+    """The discrepancy certificate of a |theta2| > 1 or theta2 = 1
+    refutation; alpha is the a-frequency, rational unless theta2 is
+    irrational.
+
+    Delta is kept scaled by alpha = p/q's denominator: q Delta(w) =
+    (q - p) |w|_a - p |w|_b, an integer."""
+    if prof.theta2_kind == THETA2_IRRATIONAL:
+        return DiscrepancyCertificate("irrational_frequencies")
+    p, q = alpha.numerator, alpha.denominator
+
+    def scaled(v: ParikhVector) -> int:
+        return (q - p) * v.count_a - p * v.count_b
+
+    target = EVIDENCE_TARGET * q
+    if prof.theta2_value != 1:
+        v, k = ParikhVector(1, 0), 0
+        while abs(scaled(v)) < target:
+            v, k = mat.apply(v), k + 1
+        return DiscrepancyCertificate(
+            "theta2_power", k, v.length, Fraction(scaled(v), q)
+        )
+
+    # theta2 = 1: the first loop of nonzero weight, at a by offset, else at b
+    # entered by the first a -> b edge (f(a)[:i] = a^i there)
+    image_a = str(f.image_a)
+    entry, start = None, 0
+    found = _first_loop("a", image_a, scaled)
+    if found is None:
+        entry = image_a.index("b")
+        start = scaled(ParikhVector(entry, 0))
+        found = _first_loop("b", str(f.image_b), scaled)
+    # Some loop weighs nonzero, so no cycle through both letters is needed.
+    # Suppose not: h = 0 at every a of f(a) and every b of f(b). h steps by
+    # 1 - alpha over an a and by -alpha over a b, so f(a) has no aa, f(b) has
+    # no bb and starts with b (a b after an a-run would have h > 0).
+    # theta2 = 1 means (m11 - 1)(m22 - 1) = m12 m21 > 0, so f(a) has two a's
+    # and f(b) two b's: f(a) has a b-run between two a's, of (1 - alpha) /
+    # alpha letters, and f(b) an a-run between two b's, of alpha / (1 - alpha).
+    # Both are 1, alpha = 1/2, f(a) = a(ba)^k b^t and f(b) = b(ab)^m a^u.
+    # (1, 1) is then the Perron vector: equal row sums give t = u, and
+    # trace = row sum + 1 gives u = 0, the special form, routed before this.
+    assert found is not None, "theta2 = 1 with every loop balanced is the special form"
+    loop, weight = found
+    turns = 1
+    while abs(start + turns * weight) < target:
+        turns += 1
+    return DiscrepancyCertificate(
+        "theta2_one_cycle",
+        turns if entry is None else turns + 1,
+        None,
+        Fraction(start + turns * weight, q),
+        entry,
+        loop,
+        Fraction(weight, q),
+    )
+
+
+def _first_loop(c: str, image: str, scaled) -> tuple[tuple[str, int], int] | None:
+    """The first loop (c, i), image[i] = c, whose head image[:i] has nonzero
+    scaled Delta, with that scaled Delta; None when every loop at c is
+    balanced."""
+    count_a = 0
+    for i, x in enumerate(image):
+        if x == c:
+            weight = scaled(ParikhVector(count_a, i - count_a))
+            if weight:
+                return (c, i), weight
+        count_a += x == "a"
+    return None
+
+
 def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdict:
     """Decide abelian periodicity of f^omega(a), as far as proofs or the
     configured bounds allow.
 
-    Non-primitive morphisms are settled by the certified periodicity search.
-    Primitive morphisms with nonzero second eigenvalue are either the
-    alternating special family (abelian periodic) or refuted by their
-    spectral class. The remaining rank-1 case runs the pure decision and
-    then a bounded scan for an eventual witness. A verdict whose reason's
-    row asks for it then gets imbalance evidence."""
+    Non-primitive morphisms are settled by the certified periodicity search;
+    when it finds no period, the verdict carries window evidence on a
+    `horizon`-letter prefix. Primitive morphisms with nonzero second
+    eigenvalue are either the alternating special family (abelian periodic)
+    or refuted by their spectral class; the |theta2| > 1 and theta2 = 1
+    refutations carry a discrepancy certificate, which reads no prefix. The
+    remaining rank-1 case runs the pure decision and then a bounded scan for
+    an eventual witness. One incidence matrix serves every step and the
+    report; the primitive and rank-1 outcomes name the witnesses they share
+    once, as partial Verdicts."""
     opts = options or ClassifyOptions()
-    verdict = _route(f, opts)
-    if OUTCOMES[verdict.reason][2]:
-        evidence = imbalance_evidence(f, opts.horizon, EVIDENCE_TARGET)
-        verdict = replace(verdict, evidence=evidence)
-    return verdict
-
-
-def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:
-    """The reason for f and the witnesses and bounds behind it. The primitive
-    and rank-1 outcomes name the witnesses they share once, as partial Verdicts."""
     f.require_prolongable()
     mat = matrix_of(f)
     prof = spectral_profile(mat)
@@ -331,31 +468,34 @@ def _route(f: BinaryMorphism, opts: ClassifyOptions) -> Verdict:
         )
         if pv.found:
             return Verdict(
-                REASON_NONPRIMITIVE_PERIODIC, prof, periodicity=pv, bounds=bounds
+                REASON_NONPRIMITIVE_PERIODIC, prof, mat, periodicity=pv, bounds=bounds
             )
         return Verdict(
             REASON_NONPRIMITIVE_NO_PERIOD,
             prof,
+            mat,
             periodicity=pv,
+            evidence=imbalance_evidence(f, opts.horizon, EVIDENCE_TARGET),
             bounds=bounds + (("horizon", opts.horizon),),
         )
 
-    primitive = partial(Verdict, spectral=prof, frequencies=_frequencies_of(mat))
+    freqs = _frequencies_of(mat)
+    primitive = partial(Verdict, spectral=prof, matrix=mat, frequencies=freqs)
 
     if prof.theta2_kind != THETA2_ZERO:
         form_km = special_form_exponents(f)
         if form_km is not None:
             return primitive(REASON_SPECIAL_FORM, special_form=form_km)
-        if prof.theta2_abs_class == ABS_GT_ONE:
-            reason = REASON_GT_ONE_UNBALANCED
-        elif prof.theta2_abs_class == ABS_IN_OPEN_UNIT_INTERVAL:
-            reason = REASON_IRRATIONAL_FREQUENCIES
+        if prof.theta2_abs_class == ABS_IN_OPEN_UNIT_INTERVAL:
+            return primitive(REASON_IRRATIONAL_FREQUENCIES)
+        if prof.theta2_value == -1:
+            return primitive(REASON_MINUS_ONE)
+        # |theta2| > 1 or theta2 = 1
+        if prof.theta2_value == 1:
+            reason = REASON_ONE_FORM_FAILS
         else:
-            assert prof.theta2_abs_class == ABS_EQ_ONE
-            reason = (
-                REASON_ONE_FORM_FAILS if prof.theta2_value == 1 else REASON_MINUS_ONE
-            )
-        return primitive(reason)
+            reason = REASON_GT_ONE_UNBALANCED
+        return primitive(reason, evidence=_certificate(f, mat, prof, freqs.rational_a))
 
     form = rank1_decompose(mat)
     pure = decide_pure(f, max_configurations=opts.max_configurations)
@@ -403,7 +543,7 @@ def verdict_report(f: BinaryMorphism, verdict: Verdict) -> dict:
             "b": str(f.image_b),
             "text": f.to_text(),
         },
-        "matrix": [list(row) for row in matrix_of(f).rows()],
+        "matrix": [list(row) for row in verdict.matrix.rows()],
         "spectral": verdict.spectral.to_json(),
         "rank1": _to_json(verdict.rank1),
         "answer": verdict.answer,
@@ -531,14 +671,43 @@ VERDICT_REPORT_SCHEMA: dict = {
             )
         ),
         bounds={"type": "object", "additionalProperties": {"type": "integer"}},
-        evidence=_nullable(
-            _obj(
-                window_length={"type": "integer", "minimum": 1},
-                imbalance={"type": "integer", "minimum": 0},
-                horizon={"type": "integer", "minimum": 2},
-                target={"type": "integer", "minimum": 1},
-                reached={"type": "boolean"},
-            )
-        ),
+        # the window evidence of a bounded search, or a discrepancy certificate
+        evidence={
+            "anyOf": [
+                {"type": "null"},
+                _obj(
+                    window_length={"type": "integer", "minimum": 1},
+                    imbalance={"type": "integer", "minimum": 0},
+                    horizon={"type": "integer", "minimum": 2},
+                    target={"type": "integer", "minimum": 1},
+                    reached={"type": "boolean"},
+                ),
+                _obj(
+                    kind={
+                        "enum": [
+                            "irrational_frequencies",
+                            "theta2_power",
+                            "theta2_one_cycle",
+                        ]
+                    },
+                    k=_nullable({"type": "integer", "minimum": 1}),
+                    length=_nullable(_DECIMAL),
+                    delta=_nullable(_FRACTION),
+                    entry=_nullable({"type": "integer", "minimum": 1}),
+                    loop=_nullable(
+                        {
+                            "type": "array",
+                            "items": [
+                                {"enum": ["a", "b"]},
+                                {"type": "integer", "minimum": 1},
+                            ],
+                            "minItems": 2,
+                            "maxItems": 2,
+                        }
+                    ),
+                    weight=_nullable(_FRACTION),
+                ),
+            ]
+        },
     ),
 }

@@ -245,7 +245,8 @@ def _build_parser() -> _Parser:
     p = add("classify", _cmd_classify, "full classification with verdict report", ("json", "text"))
     p.add_argument("--corpus", default=None, help="file with one morphism per line")
     p.add_argument("--kmax", type=int, default=defaults.eventual_k_max, help="eventual witness scan depth")
-    p.add_argument("--horizon", type=int, default=defaults.horizon, help="evidence prefix length")
+    p.add_argument("--horizon", type=int, default=defaults.horizon,
+                   help="prefix length of the window evidence (NonPrimitive_NoPeriodFound)")
     p.add_argument("--max-period", type=int, default=None)
     p.add_argument("--max-preperiod", type=int, default=None)
     p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)

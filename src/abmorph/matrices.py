@@ -195,22 +195,23 @@ class FrequencyReport:
 
     def to_json(self) -> dict:
         """Exact rationals as "p/q" strings, denominator always written."""
-
-        def ratio(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
         return {
             "discriminant": self.discriminant,
             "rational": self.rational,
             "a": {
-                "rational_part": ratio(self.rational_a),
-                "sqrt_coefficient": ratio(self.coef_a),
+                "rational_part": _ratio(self.rational_a),
+                "sqrt_coefficient": _ratio(self.coef_a),
             },
             "b": {
-                "rational_part": ratio(self.rational_b),
-                "sqrt_coefficient": ratio(self.coef_b),
+                "rational_part": _ratio(self.rational_b),
+                "sqrt_coefficient": _ratio(self.coef_b),
             },
         }
+
+
+def _ratio(x: Fraction) -> str:
+    """x as "p/q", the denominator always written."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def letter_frequencies(f: BinaryMorphism) -> FrequencyReport:

@@ -119,9 +119,16 @@ class TestBranchDetails:
                 assert v.frequencies is None
 
     def test_evidence_reaches_target(self):
-        # The two spectral refutations and the non-primitive bounded search
-        # carry an imbalance measurement that hits the default target of 4.
-        for text in ["a->aaab; b->abbb", "a->aab; b->bbaab", "a->aab; b->b"]:
+        # The two spectral refutations carry a discrepancy certificate, and
+        # the non-primitive bounded search an imbalance measurement, that
+        # hit the default target of 4.
+        for text, kind in [("a->aaab; b->abbb", "theta2_power"),
+                           ("a->aab; b->bbaab", "theta2_one_cycle")]:
+            v = classify(parse_morphism(text))
+            assert v.evidence is not None
+            assert v.evidence.kind == kind
+            assert abs(v.evidence.delta) >= 4
+        for text in ["a->aab; b->b"]:
             v = classify(parse_morphism(text))
             assert v.evidence is not None
             assert v.evidence.reached
@@ -153,7 +160,7 @@ class TestBranchDetails:
 
     def test_evidence_can_be_disabled(self):
         opts = ClassifyOptions(horizon=0)
-        v = classify(parse_morphism("a->aaab; b->abbb"), opts)
+        v = classify(parse_morphism("a->aab; b->b"), opts)
         assert v.evidence is None
 
     def test_proved_never_depends_on_horizon(self, corpus):
@@ -313,6 +320,18 @@ class TestVerdictReport:
             schema = schema["properties"][key]
         if "anyOf" in schema:
             schema = schema["anyOf"][1]
+        assert list(part.to_json()) == schema["required"]
+
+    @pytest.mark.parametrize("text,kind", [
+        ("a->abbb; b->aab", "irrational_frequencies"),
+        ("a->aaab; b->abbb", "theta2_power"),
+        ("a->aab; b->bbaab", "theta2_one_cycle"),
+    ])
+    def test_certificate_keys_match_schema(self, text, kind):
+        # the certificate is the evidence schema's second object
+        part = classify(parse_morphism(text)).evidence
+        assert part.kind == kind
+        schema = VERDICT_REPORT_SCHEMA["properties"]["evidence"]["anyOf"][2]
         assert list(part.to_json()) == schema["required"]
 
     def test_answer_fields_match_verdict(self, corpus):

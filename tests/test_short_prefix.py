@@ -107,7 +107,7 @@ class TestExpandAgainstNaive:
         # of a->ababa; b->bababab, 29 and 43 letters), at the block lengths
         # |f^t(a)| and their neighbours up to one letter short of the block
         # copy. a->ab^42; b->a has two tails of one length that differ;
-        # a->ab^j; b->b tiles its tail.
+        # a->ab^j; b->b, whose fixed point is a b^omega, is written directly.
         longest = _BLOCK_FROM - 1
         cases = [square(parse_morphism("a->ababa; b->bababab")),
                  parse_morphism("a->a" + "b" * 42 + "; b->a")]
@@ -336,8 +336,8 @@ class TestBytePhase:
 
     @pytest.mark.parametrize("j", [1, 2, 7, 300])
     def test_linear_growth_tiles_inside_the_byte_phase(self, j):
-        # a->ab^j; b->b: the second round's tail repeats the first, so the
-        # rounds stop there and the rest is tiled, whatever the length.
+        # a->ab^j; b->b grows linearly; its fixed point a b^omega is written
+        # directly, with no rounds, whatever the length.
         f = parse_morphism(f"a->a{'b' * j}; b->b")
         images = [f.image_a.data, f.image_b.data]
         for n in (j + 2, 300, EDGE - 1, EDGE, EDGE + 1, 10**5):
