@@ -8,6 +8,9 @@ numpy byte arrays, one byte per letter, built in place: 1e8 letters peak at
 about 101 MB.
 """
 
+# Set before the submodules load: classify's reports read it.
+__version__ = "0.1.0"
+
 # The star import below rebinds `classify` to the function, hence the alias.
 from . import analysis, classify as _classify, errors, lift, matrices, periodic, rank1, words
 from .analysis import *
@@ -18,8 +21,6 @@ from .matrices import *
 from .periodic import *
 from .rank1 import *
 from .words import *
-
-__version__ = "0.1.0"
 
 __all__ = ["__version__"]
 __all__ += words.__all__

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from . import __version__
 from .analysis import _prefix_counts, _window_spread
 from .matrices import (
     ABS_EQ_ONE,
@@ -41,7 +42,7 @@ from .matrices import (
 )
 from .periodic import PeriodicityVerdict, _check_search_bounds, decide_periodic
 from .rank1 import EventualWitness, PureVerdict, decide_pure, eventual_scan
-from .words import BinaryMorphism, ParikhVector, _ladder, fixed_point_prefix
+from .words import BinaryMorphism, _ladder, fixed_point_prefix
 
 __all__ = [
     "Verdict",
@@ -367,6 +368,10 @@ def imbalance_evidence(
     return ImbalanceEvidence(best_len, best_im, n, target, False)
 
 
+# frozen, and the same for every morphism, so it is built once
+_IRRATIONAL = DiscrepancyCertificate("irrational_frequencies")
+
+
 def _certificate(
     f: BinaryMorphism, mat: MorphismMatrix, prof: SpectralProfile, alpha: Fraction
 ) -> DiscrepancyCertificate:
@@ -377,19 +382,21 @@ def _certificate(
     Delta is kept scaled by alpha = p/q's denominator: q Delta(w) =
     (q - p) |w|_a - p |w|_b, an integer."""
     if prof.theta2_kind == THETA2_IRRATIONAL:
-        return DiscrepancyCertificate("irrational_frequencies")
+        return _IRRATIONAL
     p, q = alpha.numerator, alpha.denominator
 
-    def scaled(v: ParikhVector) -> int:
-        return (q - p) * v.count_a - p * v.count_b
+    def scaled(count_a: int, count_b: int) -> int:
+        return (q - p) * count_a - p * count_b
 
     target = EVIDENCE_TARGET * q
     if prof.theta2_value != 1:
-        v, k = ParikhVector(1, 0), 0
-        while abs(scaled(v)) < target:
-            v, k = mat.apply(v), k + 1
+        # (|f^k(a)|_a, |f^k(a)|_b), stepped by the matrix as ints
+        (m11, m12), (m21, m22) = mat.rows()
+        na, nb, k = 1, 0, 0
+        while abs(scaled(na, nb)) < target:
+            na, nb, k = m11 * na + m12 * nb, m21 * na + m22 * nb, k + 1
         return DiscrepancyCertificate(
-            "theta2_power", k, v.length, Fraction(scaled(v), q)
+            "theta2_power", k, na + nb, Fraction(scaled(na, nb), q)
         )
 
     # theta2 = 1: the first loop of nonzero weight, at a by offset, else at b
@@ -399,7 +406,7 @@ def _certificate(
     found = _first_loop("a", image_a, scaled)
     if found is None:
         entry = image_a.index("b")
-        start = scaled(ParikhVector(entry, 0))
+        start = scaled(entry, 0)
         found = _first_loop("b", str(f.image_b), scaled)
     # Some loop weighs nonzero, so no cycle through both letters is needed.
     # Suppose not: h = 0 at every a of f(a) and every b of f(b). h steps by
@@ -434,7 +441,7 @@ def _first_loop(c: str, image: str, scaled) -> tuple[tuple[str, int], int] | Non
     count_a = 0
     for i, x in enumerate(image):
         if x == c:
-            weight = scaled(ParikhVector(count_a, i - count_a))
+            weight = scaled(count_a, i - count_a)
             if weight:
                 return (c, i), weight
         count_a += x == "a"
@@ -529,21 +536,18 @@ def verdict_report(f: BinaryMorphism, verdict: Verdict) -> dict:
     53 bits (periods, offsets) are decimal strings so the report survives
     tools with double-precision JSON parsers; exact rationals are "p/q"
     strings."""
-    from . import __version__
-
     special = verdict.special_form
     claim = verdict._claim()
     claimed = None
     if claim is not None:
         claimed = {"preperiod": str(claim[0]), "period": str(claim[1])}
+    a, b = str(f.image_a), str(f.image_b)
+    m = verdict.matrix
     return {
         "meta": {"tool": "abmorph", "version": __version__},
-        "morphism": {
-            "a": str(f.image_a),
-            "b": str(f.image_b),
-            "text": f.to_text(),
-        },
-        "matrix": [list(row) for row in verdict.matrix.rows()],
+        # text is f.to_text(), spelled from a and b
+        "morphism": {"a": a, "b": b, "text": f"a->{a}; b->{b}"},
+        "matrix": [[m.m11, m.m12], [m.m21, m.m22]],
         "spectral": verdict.spectral.to_json(),
         "rank1": _to_json(verdict.rank1),
         "answer": verdict.answer,

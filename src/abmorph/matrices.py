@@ -149,7 +149,8 @@ def spectral_profile(m: MorphismMatrix) -> SpectralProfile:
     matrices). theta2 is the root of smaller absolute value; a tie (trace = 0)
     is broken toward the negative root, so theta2 = (trace - sqrt(disc)) / 2.
     """
-    tr, det, disc = m.trace, m.determinant, m.discriminant
+    tr, det = m.trace, m.determinant
+    disc = tr * tr - 4 * det
     if disc < 0:
         raise AssertionError("nonnegative matrix with negative discriminant")
     s = math.isqrt(disc)
@@ -185,7 +186,7 @@ class FrequencyReport:
 
     @property
     def rational(self) -> bool:
-        return self.coef_a == 0 and self.coef_b == 0
+        return not (self.coef_a or self.coef_b)
 
     def freq_a_float(self) -> float:
         return float(self.rational_a) + float(self.coef_a) * math.sqrt(self.discriminant)
@@ -221,24 +222,35 @@ def letter_frequencies(f: BinaryMorphism) -> FrequencyReport:
     (m12, theta1 - m11); normalizing to sum 1 and rationalizing gives
     freq_a = P / (Q + sqrt(D)) with P = 2 m12 and Q = 2 m12 + m22 - m11.
     """
-    return _frequencies_of(matrix_of(f))
+    m = matrix_of(f)
+    if not m.primitive:
+        raise NotPrimitiveError("letter frequencies need a primitive matrix")
+    return _frequencies_of(m)
+
+
+_ZERO = Fraction(0)
 
 
 def _frequencies_of(m: MorphismMatrix) -> FrequencyReport:
-    """letter_frequencies of a morphism whose incidence matrix is m."""
-    if not m.primitive:
-        raise NotPrimitiveError("letter frequencies need a primitive matrix")
+    """letter_frequencies of a morphism whose incidence matrix m is primitive."""
     disc = m.discriminant
     p = 2 * m.m12
     q = 2 * m.m12 + m.m22 - m.m11
     s = math.isqrt(disc)
+    # the b side from the same integers: freq_b = 1 - freq_a
     if s * s == disc:
-        fa = Fraction(p, q + s)
-        return FrequencyReport(disc, fa, Fraction(0), 1 - fa, Fraction(0))
+        den = q + s
+        return FrequencyReport(
+            disc, Fraction(p, den), _ZERO, Fraction(den - p, den), _ZERO
+        )
     den = q * q - disc  # nonzero: disc is not a perfect square
-    rat_a = Fraction(p * q, den)
-    coef_a = Fraction(-p, den)
-    return FrequencyReport(disc, rat_a, coef_a, 1 - rat_a, -coef_a)
+    return FrequencyReport(
+        disc,
+        Fraction(p * q, den),
+        Fraction(-p, den),
+        Fraction(den - p * q, den),
+        Fraction(p, den),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """Binary words, Parikh vectors, and binary morphisms.
 
 Words over {a, b} are stored one letter per byte (numpy uint8, 0 = a, 1 = b).
+A str is read as its ascii bytes: one bytes.translate that deletes a and b
+finds any other letter, a second maps a and b to their codes, and
+np.frombuffer wraps those bytes, read-only, as the word's array.
 f(u) is one bytes.replace per letter (_image); every caller maps short
 words. The fixed point s is its own image under every power f^j, so a long
 prefix is block copies: the blocks f^j(a) and f^j(b) of about
@@ -53,6 +56,7 @@ __all__ = [
 A = 0
 
 _LETTERS = bytes.maketrans(b"\x00\x01", b"ab")  # letter code -> ascii letter
+_CODES = bytes.maketrans(b"ab", b"\x00\x01")  # ascii letter -> letter code
 
 
 def _image(u: bytes, image_a: bytes, image_b: bytes) -> bytes:
@@ -63,12 +67,14 @@ def _image(u: bytes, image_a: bytes, image_b: bytes) -> bytes:
 
 
 def _codes_from_str(s: str) -> np.ndarray:
-    raw = np.frombuffer(s.encode("ascii", errors="strict"), dtype=np.uint8)
-    codes = raw - ord("a")
-    if codes.size and codes.max(initial=0) > 1:
-        bad = chr(int(raw[int(np.argmax(codes > 1))]))
-        raise BadLetterError(f"letter {bad!r} is not in the alphabet {{a, b}}")
-    return codes
+    """The letter codes of s, read only: its ascii bytes less any a or b
+    name the first bad letter, else one bytes.translate maps the letters to
+    codes. (A translate alone would read "\\x00" and "\\x01" as letters.)"""
+    raw = s.encode("ascii")
+    bad = raw.translate(None, b"ab")
+    if bad:
+        raise BadLetterError(f"letter {chr(bad[0])!r} is not in the alphabet {{a, b}}")
+    return np.frombuffer(raw.translate(_CODES), dtype=np.uint8)
 
 
 class Word:

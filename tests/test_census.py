@@ -4,7 +4,9 @@ every claimed abelian period is re-checked on a long prefix, every eventual
 witness by the lift-free witness test, and each square must get the same
 answer."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -18,6 +20,7 @@ from abmorph import (
     fixed_point_prefix,
     square,
     validate_abelian_period,
+    verdict_report,
 )
 
 OPTIONS = ClassifyOptions(eventual_offset_budget=2 * 10**4)
@@ -34,6 +37,11 @@ REASON_COUNTS = {
     "Theta2MinusOne": 24,
     "Theta2One_FormFails": 5,
 }
+
+# sha256 of the census reports, each json.dumps(verdict_report(g, v),
+# sort_keys=True) and a newline, for every morphism f and then f^2: any
+# change to a report byte shows here
+REPORTS_SHA256 = "9f27a11cd4fc8ead05a05ebcee6000abf5a34436abc3f9941f83f5dd08b51d24"
 
 
 def _words(n: int):
@@ -87,3 +95,12 @@ def test_eventual_witnesses_hold(census):
 def test_squares_get_the_same_answer(census):
     for f, v, v2 in census:
         assert v2.answer == v.answer, (f, v.reason, v2.reason)
+
+
+def test_report_bytes_are_pinned(census):
+    digest = hashlib.sha256()
+    for f, v, v2 in census:
+        for g, verdict in ((f, v), (square(f), v2)):
+            text = json.dumps(verdict_report(g, verdict), sort_keys=True)
+            digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == REPORTS_SHA256

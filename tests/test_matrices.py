@@ -1,5 +1,6 @@
 """Incidence matrices, spectral classification, frequencies, rank-1 form."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from abmorph import (
     THETA2_INTEGER,
     THETA2_IRRATIONAL,
     THETA2_ZERO,
+    BinaryMorphism,
     MorphismMatrix,
     NotPrimitiveError,
     NotRankOneError,
@@ -183,6 +185,23 @@ class TestLetterFrequencies:
             assert 0 < rep.freq_a_float() < 1
             checked += 1
         assert checked >= 100
+
+    def test_b_side_of_every_small_morphism(self):
+        # the b side is built from its own integers; it must still be 1 - a
+        checked = 0
+        for total in range(2, 10):
+            for la in range(1, total):
+                for ia in map("".join, itertools.product("ab", repeat=la)):
+                    for ib in map("".join, itertools.product("ab", repeat=total - la)):
+                        f = BinaryMorphism(ia, ib)
+                        if not matrix_of(f).primitive:
+                            continue
+                        rep = letter_frequencies(f)
+                        assert rep.rational_b == 1 - rep.rational_a, f
+                        assert rep.coef_b == -rep.coef_a, f
+                        assert rep.rational == (rep.coef_a == 0), f
+                        checked += 1
+        assert checked > 1000
 
     @pytest.mark.parametrize("text", [
         "a->ab; b->ba", "a->ab; b->a", "a->aabb; b->abbb",

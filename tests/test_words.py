@@ -1,5 +1,7 @@
 """Words, morphisms, fixed points, conjugation."""
 
+import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -81,6 +83,28 @@ class TestWord:
             Word.from_str("abc")
         with pytest.raises(BadLetterError):
             Word.from_str("a b")
+
+    @pytest.mark.parametrize("text, bad", [
+        ("a\x00", "\x00"),  # codes 0 and 1 read as letters by a translate alone
+        ("a\x01b", "\x01"),
+        ("`", "`"),  # the bytes on either side of a..b
+        ("a{", "{"),
+        ("ab\x7f", "\x7f"),
+        ("acd", "c"),  # the first bad letter is named
+    ])
+    def test_bad_letter_is_named(self, text, bad):
+        with pytest.raises(BadLetterError, match=f"letter {re.escape(repr(bad))} is not"):
+            Word.from_str(text)
+
+    def test_codes_of_every_short_word(self):
+        for n in range(9):
+            for letters in itertools.product("ab", repeat=n):
+                s = "".join(letters)
+                data = Word.from_str(s).data
+                assert data.dtype == np.uint8
+                assert not data.flags.writeable
+                np.testing.assert_array_equal(
+                    data, np.frombuffer(s.encode(), np.uint8) - 97)
 
     def test_data_is_readonly(self):
         w = Word.from_str("ab")
