@@ -5,11 +5,11 @@ positive answers and all spectral refutations are proofs; the remaining
 outcomes are explicitly bounded searches, and Unknown is a first-class
 answer because the rank-1 eventual case has no known scan bound.
 
-The refutations for |theta2| > 1 and theta2 = 1 carry a discrepancy
-certificate: Delta(w) = |w|_a - alpha |w|, alpha the a-frequency, is the
-left theta2-eigenvector applied to the Parikh vector of w, so
-Delta(f(w)) = theta2 Delta(w), and an abelian periodic word has bounded Delta
-over its prefixes. The certificate is exact arithmetic on f's images and
+The refutations for |theta2| > 1 and theta2 = 1, and NonPrimitive_NoPeriodFound,
+carry a discrepancy certificate: Delta(w) = |w|_a - alpha |w|, alpha the
+a-frequency, is the left theta2-eigenvector applied to the Parikh vector of w,
+so Delta(f(w)) = theta2 Delta(w), and an abelian periodic word has bounded
+Delta over its prefixes. The certificate is exact arithmetic on f's images and
 matrix and expands no prefix (balance theory of substitutive words:
 Adamczewski, Balances for fixed points of primitive substitutions, TCS 2003).
 """
@@ -116,8 +116,7 @@ REASONS = tuple(OUTCOMES)
 ANSWERS = tuple(dict.fromkeys(answer for answer, _ in OUTCOMES.values()))
 CERTAINTIES = tuple(dict.fromkeys(certainty for _, certainty in OUTCOMES.values()))
 
-# |Delta| a certificate's prefix reaches, and the imbalance a window scan
-# tries to reach before it stops early
+# |Delta| a certificate's prefix reaches
 EVIDENCE_TARGET = 4
 
 
@@ -127,7 +126,9 @@ def special_form_exponents(f: BinaryMorphism) -> tuple[int, int] | None:
     Both images must alternate letters, start with their own letter, and have
     odd length. Fixed points of this family equal (ab)^omega."""
     k, m = (len(f.image_a) - 1) // 2, (len(f.image_b) - 1) // 2
-    if f.image_a == "a" + "ba" * k and f.image_b == "b" + "ab" * m:
+    # letter codes, a = 0 and b = 1, each image read once
+    if (f.image_a.data.tobytes() == b"\0" + b"\1\0" * k
+            and f.image_b.data.tobytes() == b"\1" + b"\0\1" * m):
         return (k, m)
     return None
 
@@ -138,14 +139,12 @@ class ClassifyOptions:
 
     eventual_k_max limits the eventual-witness level scan; the offset budget
     caps the total cut offsets tried across levels (the per-level offset
-    count is the period and grows geometrically). horizon is the prefix
-    length of the window evidence of NonPrimitive_NoPeriodFound; below 2 it
-    gives none. The discrepancy certificates of the spectral refutations
-    read no prefix, so the horizon leaves them alone."""
+    count is the period and grows geometrically). max_period and
+    max_preperiod bound the periodicity search of a non-primitive morphism.
+    No certificate reads a prefix, so none takes a horizon."""
 
     eventual_k_max: int = 8
     eventual_offset_budget: int = 10**6
-    horizon: int = 10**5
     max_period: int | None = None
     max_preperiod: int | None = None
     max_configurations: int = 10**6
@@ -154,7 +153,6 @@ class ClassifyOptions:
         # checked here, not on the route that uses a bound, so a bad bound is
         # rejected whatever morphism (or empty corpus) the options meet
         for name, value in (
-            ("horizon", self.horizon),
             ("k_max", self.eventual_k_max),
             ("offset_budget", self.eventual_offset_budget),
             ("max_configurations", self.max_configurations),
@@ -166,10 +164,8 @@ class ClassifyOptions:
 
 @dataclass(frozen=True)
 class ImbalanceEvidence:
-    """Largest window-count spread found by a geometric window-length scan.
-
-    The evidence of NonPrimitive_NoPeriodFound, a bounded search. Supporting
-    measurement only: no verdict's correctness rests on it."""
+    """Largest window-count spread found by a geometric window-length scan,
+    a measurement on a prefix; no verdict carries it."""
 
     window_length: int
     imbalance: int
@@ -193,7 +189,11 @@ class DiscrepancyCertificate:
     kind "theta2_power": theta2 an integer with |theta2| >= 2, so
     Delta(f^k(a)) = theta2^k (1 - alpha). k is the least level with
     |Delta| >= EVIDENCE_TARGET, length = |f^k(a)| and delta = Delta(f^k(a)).
-    With alpha = p/q, k <= log2(4q) + 1, so length stays a short number.
+    With alpha = p/q, k <= log2(4q) + 1, so length stays a short number. A
+    non-primitive f that reaches NoPeriodFound has f(b) = b^j and r =
+    |f(a)|_a, so theta2 = min(r, j) and alpha = d / (d + |f(a)|_b), d =
+    max(r - j, 0); alpha < 1, so Delta(f^k(a)) grows without bound, and with
+    alpha = 0 (r <= j) Delta is |w|_a.
 
     kind "theta2_one_cycle": theta2 = 1, so whole images keep Delta, and
     Delta(s[:x]) is the sum of h(c, i) = Delta(f(c)[:i]) over the digit path
@@ -249,7 +249,7 @@ class Verdict:
     periodicity: PeriodicityVerdict | None = None
     special_form: tuple[int, int] | None = None
     frequencies: FrequencyReport | None = None
-    evidence: ImbalanceEvidence | DiscrepancyCertificate | None = None
+    evidence: DiscrepancyCertificate | None = None
     bounds: tuple[tuple[str, int], ...] = ()
 
     @property
@@ -338,9 +338,9 @@ def imbalance_evidence(
     horizon. At the default 10^5 letters, where both letters grow, the
     first stage reads a few thousand letters (under 10^4 on the golden
     refutations); f(b) = b, and the stage past 255, read all of them.
-    classify attaches it to NonPrimitive_NoPeriodFound only. f must be
-    prolongable on a (NotProlongableError otherwise): _cover's ladder ends
-    because f^k(a) grows every round."""
+    classify does not call it. f must be prolongable on a
+    (NotProlongableError otherwise): _cover's ladder ends because f^k(a)
+    grows every round."""
     f.require_prolongable()
     if target < 1:
         raise ValueError("target must be >= 1")
@@ -374,10 +374,12 @@ _IRRATIONAL = DiscrepancyCertificate("irrational_frequencies")
 
 def _certificate(
     f: BinaryMorphism, mat: MorphismMatrix, prof: SpectralProfile, alpha: Fraction
-) -> DiscrepancyCertificate:
+) -> DiscrepancyCertificate | None:
     """The discrepancy certificate of a |theta2| > 1 or theta2 = 1
-    refutation; alpha is the a-frequency, rational unless theta2 is
-    irrational.
+    refutation, or of a non-primitive f; alpha is the a-frequency, rational
+    unless theta2 is irrational. None when f is not primitive, theta2 = 1 and
+    every loop at a weighs 0: f(a) = a b^l, or (a b^l)^(r-1) a and f(b) = b,
+    whose fixed point a b^omega or (a b^l)^omega is periodic.
 
     Delta is kept scaled by alpha = p/q's denominator: q Delta(w) =
     (q - p) |w|_a - p |w|_b, an integer."""
@@ -405,6 +407,8 @@ def _certificate(
     entry, start = None, 0
     found = _first_loop("a", image_a, scaled)
     if found is None:
+        if not prof.primitive:
+            return None  # f(b) = b^j: every loop at b weighs 0 too
         entry = image_a.index("b")
         start = scaled(entry, 0)
         found = _first_loop("b", str(f.image_b), scaled)
@@ -448,21 +452,25 @@ def _first_loop(c: str, image: str, scaled) -> tuple[tuple[str, int], int] | Non
     return None
 
 
+# frozen, so one default serves every call
+_DEFAULT_OPTIONS = ClassifyOptions()
+
+
 def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdict:
     """Decide abelian periodicity of f^omega(a), as far as proofs or the
     configured bounds allow.
 
     Non-primitive morphisms are settled by the certified periodicity search;
-    when it finds no period, the verdict carries window evidence on a
-    `horizon`-letter prefix. Primitive morphisms with nonzero second
+    when it finds no period, the verdict carries the discrepancy certificate
+    of f(b) = b^j's matrix. Primitive morphisms with nonzero second
     eigenvalue are either the alternating special family (abelian periodic)
     or refuted by their spectral class; the |theta2| > 1 and theta2 = 1
-    refutations carry a discrepancy certificate, which reads no prefix. The
-    remaining rank-1 case runs the pure decision and then a bounded scan for
-    an eventual witness. One incidence matrix serves every step and the
+    refutations carry a discrepancy certificate. No certificate reads a
+    prefix. The remaining rank-1 case runs the pure decision and then a
+    bounded scan for an eventual witness. One incidence matrix serves every step and the
     report; the primitive and rank-1 outcomes name the witnesses they share
     once, as partial Verdicts."""
-    opts = options or ClassifyOptions()
+    opts = options or _DEFAULT_OPTIONS
     f.require_prolongable()
     mat = matrix_of(f)
     prof = spectral_profile(mat)
@@ -477,13 +485,12 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
             return Verdict(
                 REASON_NONPRIMITIVE_PERIODIC, prof, mat, periodicity=pv, bounds=bounds
             )
+        # no period: f(a) holds a b and f(b) = b^j (DiscrepancyCertificate)
+        d = max(mat.m11 - mat.m22, 0)
+        cert = _certificate(f, mat, prof, Fraction(d, d + mat.m21))
         return Verdict(
-            REASON_NONPRIMITIVE_NO_PERIOD,
-            prof,
-            mat,
-            periodicity=pv,
-            evidence=imbalance_evidence(f, opts.horizon, EVIDENCE_TARGET),
-            bounds=bounds + (("horizon", opts.horizon),),
+            REASON_NONPRIMITIVE_NO_PERIOD, prof, mat, periodicity=pv, evidence=cert,
+            bounds=bounds,
         )
 
     freqs = _frequencies_of(mat)
@@ -675,43 +682,32 @@ VERDICT_REPORT_SCHEMA: dict = {
             )
         ),
         bounds={"type": "object", "additionalProperties": {"type": "integer"}},
-        # the window evidence of a bounded search, or a discrepancy certificate
-        evidence={
-            "anyOf": [
-                {"type": "null"},
-                _obj(
-                    window_length={"type": "integer", "minimum": 1},
-                    imbalance={"type": "integer", "minimum": 0},
-                    horizon={"type": "integer", "minimum": 2},
-                    target={"type": "integer", "minimum": 1},
-                    reached={"type": "boolean"},
+        evidence=_nullable(
+            _obj(
+                kind={
+                    "enum": [
+                        "irrational_frequencies",
+                        "theta2_power",
+                        "theta2_one_cycle",
+                    ]
+                },
+                k=_nullable({"type": "integer", "minimum": 1}),
+                length=_nullable(_DECIMAL),
+                delta=_nullable(_FRACTION),
+                entry=_nullable({"type": "integer", "minimum": 1}),
+                loop=_nullable(
+                    {
+                        "type": "array",
+                        "items": [
+                            {"enum": ["a", "b"]},
+                            {"type": "integer", "minimum": 1},
+                        ],
+                        "minItems": 2,
+                        "maxItems": 2,
+                    }
                 ),
-                _obj(
-                    kind={
-                        "enum": [
-                            "irrational_frequencies",
-                            "theta2_power",
-                            "theta2_one_cycle",
-                        ]
-                    },
-                    k=_nullable({"type": "integer", "minimum": 1}),
-                    length=_nullable(_DECIMAL),
-                    delta=_nullable(_FRACTION),
-                    entry=_nullable({"type": "integer", "minimum": 1}),
-                    loop=_nullable(
-                        {
-                            "type": "array",
-                            "items": [
-                                {"enum": ["a", "b"]},
-                                {"type": "integer", "minimum": 1},
-                            ],
-                            "minItems": 2,
-                            "maxItems": 2,
-                        }
-                    ),
-                    weight=_nullable(_FRACTION),
-                ),
-            ]
-        },
+                weight=_nullable(_FRACTION),
+            )
+        ),
     ),
 }

@@ -77,7 +77,6 @@ def _emit(text: str, output: str | None) -> None:
 def _options_from(args) -> ClassifyOptions:
     return ClassifyOptions(
         eventual_k_max=args.kmax,
-        horizon=args.horizon,
         max_period=args.max_period,
         max_preperiod=args.max_preperiod,
         max_configurations=args.max_configurations,
@@ -245,8 +244,6 @@ def _build_parser() -> _Parser:
     p = add("classify", _cmd_classify, "full classification with verdict report", ("json", "text"))
     p.add_argument("--corpus", default=None, help="file with one morphism per line")
     p.add_argument("--kmax", type=int, default=defaults.eventual_k_max, help="eventual witness scan depth")
-    p.add_argument("--horizon", type=int, default=defaults.horizon,
-                   help="prefix length of the window evidence (NonPrimitive_NoPeriodFound)")
     p.add_argument("--max-period", type=int, default=None)
     p.add_argument("--max-preperiod", type=int, default=None)
     p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -119,20 +120,19 @@ class TestBranchDetails:
                 assert v.frequencies is None
 
     def test_evidence_reaches_target(self):
-        # The two spectral refutations carry a discrepancy certificate, and
-        # the non-primitive bounded search an imbalance measurement, that
-        # hit the default target of 4.
+        # The two spectral refutations and the non-primitive bounded search
+        # carry a discrepancy certificate that hits the default target of 4.
         for text, kind in [("a->aaab; b->abbb", "theta2_power"),
-                           ("a->aab; b->bbaab", "theta2_one_cycle")]:
+                           ("a->aab; b->bbaab", "theta2_one_cycle"),
+                           ("a->aab; b->b", "theta2_one_cycle")]:
             v = classify(parse_morphism(text))
             assert v.evidence is not None
             assert v.evidence.kind == kind
             assert abs(v.evidence.delta) >= 4
-        for text in ["a->aab; b->b"]:
-            v = classify(parse_morphism(text))
-            assert v.evidence is not None
-            assert v.evidence.reached
-            assert v.evidence.imbalance >= 4
+        # alpha = 1/2: the loop (a, 1) weighs 1/2 and takes 8 turns
+        cert = classify(parse_morphism("a->aab; b->b")).evidence
+        assert (cert.k, cert.entry, cert.loop, cert.weight, cert.delta) == (
+            8, None, ("a", 1), Fraction(1, 2), 4)
 
     def test_evidence_matches_window_scan(self, rng):
         # The same geometric scan, one imbalance_at call per window length.
@@ -157,11 +157,6 @@ class TestBranchDetails:
             assert (ev.window_length, ev.imbalance, ev.reached) == \
                 scan(f, horizon, target), f
             assert (ev.horizon, ev.target) == (horizon, target)
-
-    def test_evidence_can_be_disabled(self):
-        opts = ClassifyOptions(horizon=0)
-        v = classify(parse_morphism("a->aab; b->b"), opts)
-        assert v.evidence is None
 
     def test_proved_never_depends_on_horizon(self, corpus):
         for entry in corpus:
@@ -328,10 +323,10 @@ class TestVerdictReport:
         ("a->aab; b->bbaab", "theta2_one_cycle"),
     ])
     def test_certificate_keys_match_schema(self, text, kind):
-        # the certificate is the evidence schema's second object
+        # the certificate is the evidence schema's one object
         part = classify(parse_morphism(text)).evidence
         assert part.kind == kind
-        schema = VERDICT_REPORT_SCHEMA["properties"]["evidence"]["anyOf"][2]
+        schema = VERDICT_REPORT_SCHEMA["properties"]["evidence"]["anyOf"][1]
         assert list(part.to_json()) == schema["required"]
 
     def test_answer_fields_match_verdict(self, corpus):
@@ -345,33 +340,22 @@ class TestVerdictReport:
             assert report["bounds"] == dict(v.bounds)
 
 
-class TestHorizonBound:
-    def test_negative_horizon_rejected(self):
-        with pytest.raises(ValueError, match="horizon must be >= 0"):
-            classify(parse_morphism("a->aab; b->b"), ClassifyOptions(horizon=-5))
-
-    @pytest.mark.parametrize("horizon", [0, 1])
-    def test_short_horizon_attaches_no_evidence(self, horizon):
-        v = classify(parse_morphism("a->aab; b->b"), ClassifyOptions(horizon=horizon))
-        assert v.evidence is None
-        assert dict(v.bounds)["horizon"] == horizon
-
-
 class TestBoundsCheckedOnConstruction:
     """ClassifyOptions rejects a bad bound when it is built, so no route and
-    no input can accept it."""
+    no input can accept it. No evidence reads a prefix, so a horizon is no
+    option at all."""
 
-    @pytest.mark.parametrize("bounds, message", [
-        (dict(horizon=-5), "horizon must be >= 0"),
-        (dict(eventual_k_max=-2), "k_max must be >= 0"),
-        (dict(eventual_offset_budget=-5), "offset_budget must be >= 0"),
-        (dict(max_configurations=-1), "max_configurations must be >= 0"),
-        (dict(max_period=0), "bounds must allow at least one candidate"),
-        (dict(max_preperiod=-1), "bounds must allow at least one candidate"),
+    @pytest.mark.parametrize("bounds, error, message", [
+        (dict(horizon=-5), TypeError, "unexpected keyword argument 'horizon'"),
+        (dict(eventual_k_max=-2), ValueError, "k_max must be >= 0"),
+        (dict(eventual_offset_budget=-5), ValueError, "offset_budget must be >= 0"),
+        (dict(max_configurations=-1), ValueError, "max_configurations must be >= 0"),
+        (dict(max_period=0), ValueError, "bounds must allow at least one candidate"),
+        (dict(max_preperiod=-1), ValueError, "bounds must allow at least one candidate"),
     ], ids=["horizon", "k_max", "offset_budget", "max_configurations", "max_period",
             "max_preperiod"])
-    def test_rejected(self, bounds, message):
-        with pytest.raises(ValueError, match=message):
+    def test_rejected(self, bounds, error, message):
+        with pytest.raises(error, match=message):
             ClassifyOptions(**bounds)
 
     # one morphism per route: non-primitive, spectral (Fibonacci), rank-1 pure

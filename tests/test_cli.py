@@ -357,7 +357,7 @@ TOO_LARGE = [
     ["complexity", "a->ab; b->ba", "--nmax", "4", "--horizon", str(10**15)],
     ["residues", "a->ab; b->bbaa", "--t", "1", "--d", "5",
      "--horizon", str(10**15)],
-    ["classify", "a->aab; b->b", "--horizon", str(10**15)],
+    ["classify", "a->aab; b->b", "--max-period", str(10**14)],
     ["periodic", "a->ab; b->b", "--max-period", str(10**14)],
 ]
 
@@ -396,31 +396,24 @@ class TestResiduesAtHugeArguments:
 
 
 class TestNegativeHorizon:
+    """classify has no --horizon (no evidence reads a prefix): any value, a
+    negative one included, is a usage error, exit 1 with one abmorph: line."""
+
     def test_classify_exits_1(self, capsys):
         code, out, err = run(capsys, "classify", "a->aab; b->b", "--horizon", "-5")
-        assert (code, out, err) == (1, "", "abmorph: horizon must be >= 0\n")
+        assert (code, out, err) == (1, "", "abmorph: unrecognized arguments: --horizon -5\n")
 
     def test_corpus_exits_1(self, capsys, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a->ab; b->ba\na->aab; b->b\n")
         code, out, err = run(capsys, "classify", "--corpus", str(corpus), "--horizon", "-1")
-        assert (code, out, err) == (1, "", "abmorph: horizon must be >= 0\n")
+        assert code == 1 and out == ""
+        assert err.startswith("abmorph: unrecognized arguments: --horizon")
+        assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("horizon", ["0", "1"])
-    def test_short_horizon_is_legal(self, capsys, horizon):
-        code, out, err = run(capsys, "classify", "a->aab; b->b", "--horizon", horizon)
-        assert code == 0 and err == ""
-        report = json.loads(out)
-        assert report["evidence"] is None and report["bounds"]["horizon"] == int(horizon)
-
-    def test_default_horizon_keeps_evidence(self, capsys):
-        # the horizon is the one evidence switch: below 2 it skips the scan
-        code, out, _ = run(capsys, "classify", "a->aab; b->b")
-        assert code == 0
-        report = json.loads(out)
-        horizon = ClassifyOptions().horizon
-        assert report["bounds"]["horizon"] == horizon
-        assert report["evidence"]["horizon"] == horizon
+    def test_positive_horizon_is_unrecognized(self, capsys):
+        code, out, err = run(capsys, "classify", "a->aab; b->b", "--horizon", "5")
+        assert (code, out, err) == (1, "", "abmorph: unrecognized arguments: --horizon 5\n")
 
 
 class TestBadBoundOnAnyRoute:

@@ -1,12 +1,12 @@
-"""Discrepancy certificates of the two proved spectral refutations,
-re-checked on an independent path.
+"""Discrepancy certificates of the two proved spectral refutations and of
+NonPrimitive_NoPeriodFound, re-checked on an independent path.
 
 Delta(w) = |w|_a - alpha |w|, alpha the a-frequency. A certificate's level k
 and Delta are re-read from prefix_parikh(f, "a", k, x), the descent of f^k(a)
 through exact matrix powers, at the length x it names or, for a theta2 = 1
 loop, at the length of its digit path summed here from matrix powers.
-classify must reach these reasons without expanding a prefix, whatever the
-horizon.
+classify must reach the spectral reasons without expanding a prefix, and no
+reason with a window scan.
 """
 
 import importlib
@@ -21,12 +21,15 @@ import pytest
 
 from abmorph import (
     REASON_GT_ONE_UNBALANCED,
+    REASON_NONPRIMITIVE_NO_PERIOD,
+    REASON_NONPRIMITIVE_PERIODIC,
     REASON_ONE_FORM_FAILS,
     VERDICT_REPORT_SCHEMA,
     BinaryMorphism,
     ClassifyOptions,
     DiscrepancyCertificate,
     classify,
+    decide_periodic,
     letter_frequencies,
     matrix_of,
     parse_morphism,
@@ -51,17 +54,23 @@ def delta(f, alpha, k, x):
     return v.count_a - alpha * (v.count_a + v.count_b)
 
 
-def spectral_morphisms(total):
-    """Every morphism prolongable on a with |f(a)| + |f(b)| <= total that
-    classify sends down the spectral route: primitive, theta2 != 0."""
+def census_morphisms(total):
+    """Every morphism prolongable on a with |f(a)| + |f(b)| <= total, with
+    its spectral profile."""
     for la in range(2, total):
         for lb in range(1, total - la + 1):
             for tail in itertools.product("ab", repeat=la - 1):
                 for image_b in itertools.product("ab", repeat=lb):
                     f = BinaryMorphism("a" + "".join(tail), "".join(image_b))
-                    prof = spectral_profile(matrix_of(f))
-                    if prof.primitive and prof.theta2_value != 0:
-                        yield f
+                    yield f, spectral_profile(matrix_of(f))
+
+
+def spectral_morphisms(total):
+    """The census morphisms that classify sends down the spectral route:
+    primitive, theta2 != 0."""
+    for f, prof in census_morphisms(total):
+        if prof.primitive and prof.theta2_value != 0:
+            yield f
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +82,23 @@ def census_certificates():
         if v.reason in PROVED:
             out.append((f, v))
     return out
+
+
+@pytest.fixture(scope="module")
+def non_primitive():
+    """(f, verdict) for every non-primitive morphism up to 11 letters whose
+    f(a) holds a b (f(a) = a^i has the periodic fixed point a^omega)."""
+    return [(f, classify(f)) for f, prof in census_morphisms(11)
+            if not prof.primitive and "b" in str(f.image_a)]
+
+
+def non_primitive_alpha(mat):
+    """The a-frequency of f(b) = b^j, from the matrix. |f^k(a)|_a = r^k with
+    r = m11; when r > j the Perron eigenvector (r - j, m21) gives alpha =
+    (r - j) / (r - j + m21), else the b's outgrow the a's and alpha = 0."""
+    r, j = mat.m11, mat.m22
+    assert mat.m12 == 0 and mat.m21 > 0
+    return Fraction(r - j, r - j + mat.m21) if r > j else Fraction(0)
 
 
 def pumped(cert, turns):
@@ -161,6 +187,65 @@ class TestCensusCertificates:
             assert turns == 1 or abs(start + (turns - 1) * cert.weight) < TARGET
 
 
+class TestNonPrimitiveCertificates:
+    """NonPrimitive_NoPeriodFound up to |f(a)| + |f(b)| = 11: f(b) = b^j,
+    theta2 = min(|f(a)|_a, j), and alpha comes from the matrix alone."""
+
+    def test_kinds(self, non_primitive):
+        kinds = Counter(v.evidence.kind for _, v in non_primitive
+                        if v.reason == REASON_NONPRIMITIVE_NO_PERIOD)
+        assert kinds == {"theta2_one_cycle": 990, "theta2_power": 932}
+
+    def test_certificates_recheck_by_prefix_parikh(self, non_primitive):
+        for f, v in non_primitive:
+            if v.reason != REASON_NONPRIMITIVE_NO_PERIOD:
+                continue
+            cert, mat = v.evidence, v.matrix
+            alpha = non_primitive_alpha(mat)
+            theta2 = min(mat.m11, mat.m22)
+            assert v.spectral.theta2_value == theta2
+            if cert.kind == "theta2_power":
+                assert theta2 >= 2
+                assert cert.length == power_lengths(f, cert.k)[0]
+                assert cert.delta == theta2**cert.k * (1 - alpha)
+                x = cert.length
+            else:
+                assert cert.kind == "theta2_one_cycle" and theta2 == 1
+                c, i = cert.loop
+                assert c == "a" and cert.entry is None and str(f.image_a)[i] == "a"
+                assert cert.weight == h(f, alpha, c, i) != 0
+                assert cert.delta == cert.k * cert.weight
+                x = path_length(f, pumped(cert, cert.k))
+            assert delta(f, alpha, cert.k, x) == cert.delta, f.to_text()
+            assert abs(cert.delta) >= TARGET
+
+    def test_no_certificate_exactly_when_periodic(self, non_primitive):
+        # _certificate gives none exactly for the periodic a b^omega and
+        # (a b^l)^omega, whatever the search bounds of classify
+        periodic = 0
+        for f, v in non_primitive:
+            alpha = non_primitive_alpha(v.matrix)
+            cert = classify_module._certificate(f, v.matrix, v.spectral, alpha)
+            found = decide_periodic(f).found
+            assert (cert is None) == found, f.to_text()
+            assert v.reason == (REASON_NONPRIMITIVE_PERIODIC if found
+                                else REASON_NONPRIMITIVE_NO_PERIOD)
+            periodic += found
+        assert (len(non_primitive), periodic) == (1981, 59)
+
+    @pytest.mark.parametrize("text, options", [
+        ("a->aba; b->b", ClassifyOptions(max_period=1)),
+        ("a->abb; b->bb", ClassifyOptions(max_preperiod=0)),
+    ])
+    def test_search_bound_that_misses_a_period(self, text, options):
+        # (ab)^omega and a b^omega, out of the search's reach: no period found
+        # and no certificate, since Delta is bounded
+        f = parse_morphism(text)
+        v = classify(f, options)
+        assert (v.reason, v.evidence) == (REASON_NONPRIMITIVE_NO_PERIOD, None)
+        jsonschema.validate(verdict_report(f, v), VERDICT_REPORT_SCHEMA)
+
+
 class TestIdentities:
     def test_delta_of_images_scales_by_theta2(self, rng):
         # Delta(f^k(a)) = theta2^k (1 - alpha) on primitive morphisms with
@@ -198,6 +283,7 @@ class TestNoPrefix:
     """The certificates are exact arithmetic on f's images and matrix."""
 
     TEXTS = ["a->aaab; b->abbb", "a->abbb; b->aab", "a->aab; b->bbaab"]
+    NON_PRIMITIVE = ["a->aab; b->b", "a->abbbabbbba; b->b"]
 
     @pytest.mark.parametrize("text", TEXTS)
     def test_no_window_scan_and_no_expansion(self, text, monkeypatch):
@@ -213,12 +299,27 @@ class TestNoPrefix:
         assert v.reason in PROVED and v.evidence is not None
         verdict_report(f, v)
 
-    @pytest.mark.parametrize("text", TEXTS)
-    def test_report_ignores_the_horizon(self, text):
+    @pytest.mark.parametrize("text", NON_PRIMITIVE)
+    def test_no_window_scan_on_non_primitive(self, text, monkeypatch):
+        # decide_periodic still expands its own prefix; the evidence does not
+        def refuse(*args, **kwargs):
+            raise AssertionError("scanned windows")
+
+        monkeypatch.setattr(classify_module, "imbalance_evidence", refuse)
+        monkeypatch.setattr(classify_module, "_cover", refuse)
         f = parse_morphism(text)
-        reports = [json.dumps(verdict_report(f, classify(f, ClassifyOptions(horizon=h))),
-                              sort_keys=True) for h in (0, 10**5, 10**8)]
-        assert reports[0] == reports[1] == reports[2]
+        v = classify(f)
+        assert v.reason == REASON_NONPRIMITIVE_NO_PERIOD
+        assert v.evidence.kind == "theta2_one_cycle"
+        verdict_report(f, v)
+
+    @pytest.mark.parametrize("text", TEXTS + NON_PRIMITIVE)
+    def test_report_ignores_the_horizon(self, text):
+        # no option sets a horizon, and no report names one
+        f = parse_morphism(text)
+        report = verdict_report(f, classify(f))
+        assert "horizon" not in report["bounds"]
+        assert "horizon" not in json.dumps(report)
 
     @pytest.mark.parametrize("text", TEXTS + ["a->aab; b->b", "a->ab; b->b",
                                               "a->ab; b->a", "a->ab; b->aa"])
