@@ -40,7 +40,12 @@ from .matrices import (
     rank1_decompose,
     spectral_profile,
 )
-from .periodic import PeriodicityVerdict, _check_search_bounds, decide_periodic
+from .periodic import (
+    PeriodicityVerdict,
+    _check_search_bounds,
+    _decide_closed_form,
+    _search_bounds,
+)
 from .rank1 import EventualWitness, PureVerdict, decide_pure, eventual_scan
 from .words import BinaryMorphism, _ladder, fixed_point_prefix
 
@@ -140,7 +145,10 @@ class ClassifyOptions:
     eventual_k_max limits the eventual-witness level scan; the offset budget
     caps the total cut offsets tried across levels (the per-level offset
     count is the period and grows geometrically). max_period and
-    max_preperiod bound the periodicity search of a non-primitive morphism.
+    max_preperiod (default periodic.default_search_bound) only gate which
+    presentation u w^omega of a non-primitive fixed point is reported:
+    |u| <= max_preperiod and |w| <= max_period, as decide_periodic would
+    find it. The presentation has a closed form, so no bound sets the work.
     No certificate reads a prefix, so none takes a horizon."""
 
     eventual_k_max: int = 8
@@ -460,11 +468,14 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     """Decide abelian periodicity of f^omega(a), as far as proofs or the
     configured bounds allow.
 
-    Non-primitive morphisms are settled by the certified periodicity search;
-    when it finds no period, the verdict carries the discrepancy certificate
-    of f(b) = b^j's matrix. Primitive morphisms with nonzero second
-    eigenvalue are either the alternating special family (abelian periodic)
-    or refuted by their spectral class; the |theta2| > 1 and theta2 = 1
+    Non-primitive morphisms are periodic exactly as a^omega, a b^omega or
+    (a b^l)^omega, read off the images and certified
+    (periodic._decide_closed_form); that presentation is reported when it
+    fits max_preperiod and max_period. Every other non-primitive morphism
+    carries the discrepancy certificate of f(b) = b^j's matrix. Primitive
+    morphisms with nonzero second eigenvalue are either the alternating
+    special family (abelian periodic) or refuted by their spectral class;
+    the |theta2| > 1 and theta2 = 1
     refutations carry a discrepancy certificate. No certificate reads a
     prefix. The remaining rank-1 case runs the pure decision and then a
     bounded scan for an eventual witness. One incidence matrix serves every step and the
@@ -476,22 +487,23 @@ def classify(f: BinaryMorphism, options: ClassifyOptions | None = None) -> Verdi
     prof = spectral_profile(mat)
 
     if not prof.primitive:
-        pv = decide_periodic(f, opts.max_period, opts.max_preperiod)
-        bounds = (
-            ("max_preperiod", pv.max_preperiod),
-            ("max_period", pv.max_period),
-        )
-        if pv.found:
+        max_p, max_r = _search_bounds(f, opts.max_period, opts.max_preperiod)
+        bounds = (("max_preperiod", max_r), ("max_period", max_p))
+        pv = _decide_closed_form(f, max_p, max_r)
+        if pv is None:
+            # not ultimately periodic: f(a) holds a b and f(b) = b^j
+            # (DiscrepancyCertificate)
+            d = max(mat.m11 - mat.m22, 0)
+            cert = _certificate(f, mat, prof, Fraction(d, d + mat.m21))
+            assert cert is not None, "no closed-form period means Delta is unbounded"
+            pv = PeriodicityVerdict("not_found", None, None, max_r, max_p)
             return Verdict(
-                REASON_NONPRIMITIVE_PERIODIC, prof, mat, periodicity=pv, bounds=bounds
+                REASON_NONPRIMITIVE_NO_PERIOD, prof, mat, periodicity=pv, evidence=cert,
+                bounds=bounds,
             )
-        # no period: f(a) holds a b and f(b) = b^j (DiscrepancyCertificate)
-        d = max(mat.m11 - mat.m22, 0)
-        cert = _certificate(f, mat, prof, Fraction(d, d + mat.m21))
-        return Verdict(
-            REASON_NONPRIMITIVE_NO_PERIOD, prof, mat, periodicity=pv, evidence=cert,
-            bounds=bounds,
-        )
+        # not found: a bound hides the period, Delta is bounded, no certificate
+        reason = REASON_NONPRIMITIVE_PERIODIC if pv.found else REASON_NONPRIMITIVE_NO_PERIOD
+        return Verdict(reason, prof, mat, periodicity=pv, bounds=bounds)
 
     freqs = _frequencies_of(mat)
     primitive = partial(Verdict, spectral=prof, matrix=mat, frequencies=freqs)

@@ -244,8 +244,10 @@ def _build_parser() -> _Parser:
     p = add("classify", _cmd_classify, "full classification with verdict report", ("json", "text"))
     p.add_argument("--corpus", default=None, help="file with one morphism per line")
     p.add_argument("--kmax", type=int, default=defaults.eventual_k_max, help="eventual witness scan depth")
-    p.add_argument("--max-period", type=int, default=None)
-    p.add_argument("--max-preperiod", type=int, default=None)
+    p.add_argument("--max-period", type=int, default=None,
+                   help="longest period w of a non-primitive u w^omega to report (default 4 (|f(a)|+|f(b)|)^2)")
+    p.add_argument("--max-preperiod", type=int, default=None,
+                   help="longest preperiod u of a non-primitive u w^omega to report (default as --max-period)")
     p.add_argument("--max-configurations", type=int, default=defaults.max_configurations)
 
     p = add("pure", _cmd_pure, "decide pure abelian periodicity (rank-1 only)", ("json", "text"))

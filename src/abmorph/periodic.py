@@ -6,7 +6,9 @@ every primitive period that fits. It is certified exactly: u w^omega is a
 fixed point of f iff f(u) f(w)^omega equals u w^omega. A certified candidate
 equals f^omega(a) because both start with a and the fixed point prolongable
 on a is unique. Negative outcomes only mean no candidate exists within the
-stated bounds.
+stated bounds. A non-primitive f has its candidate in closed form, read off
+the images with no prefix (_decide_closed_form); classify takes it from
+there.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ def periodic_prefix(preperiod: Word, period: Word, length: int) -> Word:
 def eq_eventually_periodic(u1: Word, w1: Word, u2: Word, w2: Word) -> bool:
     """Exact equality of u1 w1^omega and u2 w2^omega, decided on prefixes of
     max(|u1|, |u2|) + lcm(|w1|, |w2|) letters."""
-    if len(w1) == 0 or len(w2) == 0:
+    b1, c1, b2, c2 = u1.data.tobytes(), w1.data.tobytes(), u2.data.tobytes(), w2.data.tobytes()
+    if not c1 or not c2:
         raise ValueError("period words must be nonempty")
-    n = max(len(u1), len(u2)) + math.lcm(len(w1), len(w2))
-    b1, c1, b2, c2 = (x.data.tobytes() for x in (u1, w1, u2, w2))
+    n = max(len(b1), len(b2)) + math.lcm(len(c1), len(c2))
     return _periodic_bytes(b1, c1, n) == _periodic_bytes(b2, c2, n)
 
 
@@ -96,6 +98,18 @@ def _check_search_bounds(max_period: int | None, max_preperiod: int | None) -> N
         raise ValueError("bounds must allow at least one candidate")
 
 
+def _search_bounds(
+    f: BinaryMorphism, max_period: int | None, max_preperiod: int | None
+) -> tuple[int, int]:
+    """(max_period, max_preperiod), each None taking default_search_bound(f)."""
+    _check_search_bounds(max_period, max_preperiod)
+    bound = default_search_bound(f)
+    return (
+        bound if max_period is None else max_period,
+        bound if max_preperiod is None else max_preperiod,
+    )
+
+
 def _smallest_period(s: bytes, bound: int) -> int | None:
     """The smallest period of s when it is at most `bound`, else None, for s
     of at least 2 * bound letters (decide_periodic's docstring has why).
@@ -125,30 +139,70 @@ def decide_periodic(
     u ends at the last letter before s that breaks p, w is the p letters
     after u. A fixed point u w^omega with w primitive has p dividing |f(w)|,
     as f(w)^omega and w^omega share a suffix; only then is the exact
-    f(u) f(w)^omega = u w^omega checked, so "periodic" verdicts are proofs.
+    f(u) f(w)^omega = u w^omega checked (_certified), so "periodic" verdicts
+    are proofs.
 
     f(u) and f(w) come from the images, never from the prefix, which would
     make the proof circular: each is one bytes.replace per letter, the
     kernel of BinaryMorphism.apply (words._image), and
     eq_eventually_periodic compares bytes. u and w hold at most
-    max_preperiod and max_period letters, and are short in practice: at the
-    default bounds, the 69 candidates certified over the seed-1 classify_mix
-    bench corpus have |u| <= 1, |w| <= 2 and |f(w)| <= 72."""
+    max_preperiod and max_period letters. classify does not call this
+    search: a non-primitive morphism's (u, w) has a closed form
+    (_decide_closed_form), which gives the same verdict at every bound and
+    is certified the same way."""
     f.require_prolongable()
-    _check_search_bounds(max_period, max_preperiod)
-    bound = default_search_bound(f)
-    max_p = bound if max_period is None else max_period
-    max_r = bound if max_preperiod is None else max_preperiod
+    max_p, max_r = _search_bounds(f, max_period, max_preperiod)
     arr = fixed_point_prefix(f, max_r + 4 * max_p).data
     p = _smallest_period(arr[max_r:].tobytes(), max_p)
     if p is not None:
         breaks = np.flatnonzero(arr[:max_r] != arr[p : max_r + p])
         r = int(breaks[-1]) + 1 if len(breaks) else 0
-        u, w = arr[:r].tobytes(), arr[r : r + p].tobytes()
-        images = f.image_a.data.tobytes(), f.image_b.data.tobytes()
-        fw = _image(w, *images)
-        if len(fw) % p == 0 and eq_eventually_periodic(
-            _word(_image(u, *images)), _word(fw), _word(u), _word(w)
-        ):
-            return PeriodicityVerdict("periodic", _word(u), _word(w), max_r, max_p)
+        u, w = _word(arr[:r].tobytes()), _word(arr[r : r + p].tobytes())
+        if _certified(f, u, w):
+            return PeriodicityVerdict("periodic", u, w, max_r, max_p)
     return PeriodicityVerdict("not_found", None, None, max_r, max_p)
+
+
+def _certified(f: BinaryMorphism, u: Word, w: Word) -> bool:
+    """f(u) f(w)^omega = u w^omega, exactly, for a primitive w: then
+    u w^omega is a fixed point of f, and equals f^omega(a) when u w starts
+    with a. |w| divides |f(w)| first, as f(w)^omega and w^omega share a
+    suffix. f(u) and f(w) come from the images (words._image)."""
+    images = f.image_a.data.tobytes(), f.image_b.data.tobytes()
+    fw = _image(w.data.tobytes(), *images)
+    return len(fw) % len(w) == 0 and eq_eventually_periodic(
+        _word(_image(u.data.tobytes(), *images)), _word(fw), u, w
+    )
+
+
+def _decide_closed_form(
+    f: BinaryMorphism, max_period: int, max_preperiod: int
+) -> PeriodicityVerdict | None:
+    """decide_periodic(f, max_period, max_preperiod) for f prolongable on a
+    and not primitive, read off the images in O(|f(a)| + |f(b)|) with no
+    prefix; None when f^omega(a) is not ultimately periodic.
+
+    Not primitive means f(a) = a^i or f(b) = b^j. f(a) = a^i fixes a^omega.
+    Otherwise f(a) holds a b and f(b) = b^j: f(a) = a b^l fixes a b^omega,
+    and f(a) = (a b^l)^(r-1) a with f(b) = b fixes (a b^l)^omega. Every
+    other such f has a discrepancy certificate (classify._certificate):
+    its Delta is unbounded over the prefixes, so its fixed point is not
+    even abelian periodic.
+
+    The (u, w) above is the shortest, w primitive. It is reported when
+    |u| <= max_preperiod and |w| <= max_period, and certified as
+    decide_periodic certifies, so "periodic" stays a proof that does not
+    rest on the shape argument."""
+    image_a, image_b = f.image_a.data.tobytes(), f.image_b.data.tobytes()
+    if b"\1" not in image_a:
+        u, w = b"", b"\0"
+    elif image_a.count(0) == 1:
+        u, w = b"\0", b"\1"
+    else:
+        u, w = b"", image_a[: image_a.index(0, 1)]
+        if image_b != b"\1" or image_a != w * (len(image_a) // len(w)) + b"\0":
+            return None
+    u, w = _word(u), _word(w)
+    if len(u) <= max_preperiod and len(w) <= max_period and _certified(f, u, w):
+        return PeriodicityVerdict("periodic", u, w, max_preperiod, max_period)
+    return PeriodicityVerdict("not_found", None, None, max_preperiod, max_period)

@@ -357,7 +357,6 @@ TOO_LARGE = [
     ["complexity", "a->ab; b->ba", "--nmax", "4", "--horizon", str(10**15)],
     ["residues", "a->ab; b->bbaa", "--t", "1", "--d", "5",
      "--horizon", str(10**15)],
-    ["classify", "a->aab; b->b", "--max-period", str(10**14)],
     ["periodic", "a->ab; b->b", "--max-period", str(10**14)],
 ]
 
@@ -369,6 +368,21 @@ class TestTooLargeForMemory:
         assert code == 1 and out == ""
         assert err.startswith("abmorph:")
         assert "Traceback" not in err
+
+
+class TestClassifyAtHugeBounds:
+    def test_max_period_1e14_exits_0(self, capsys):
+        # classify reads the non-primitive periodicity off the images, so a
+        # bound only gates what is reported and allocates nothing
+        code, out, err = run(capsys, "classify", "a->aab; b->b", "--max-period", str(10**14))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        _, default, _ = run(capsys, "classify", "a->aab; b->b")
+        assert report["reason"] == "NonPrimitive_NoPeriodFound"
+        assert report["evidence"]["kind"] == "theta2_one_cycle"
+        assert report["evidence"] == json.loads(default)["evidence"]
+        assert report["bounds"]["max_period"] == 10**14
+        assert report["witnesses"]["periodicity"]["max_period"] == 10**14
 
 
 class TestResiduesAtHugeArguments:

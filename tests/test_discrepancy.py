@@ -42,6 +42,7 @@ from conftest import random_morphism
 
 # the package binds `classify` to the function, so fetch the modules by name
 classify_module = importlib.import_module("abmorph.classify")
+periodic_module = importlib.import_module("abmorph.periodic")
 words_module = importlib.import_module("abmorph.words")
 
 TARGET = 4
@@ -90,6 +91,12 @@ def non_primitive():
     f(a) holds a b (f(a) = a^i has the periodic fixed point a^omega)."""
     return [(f, classify(f)) for f, prof in census_morphisms(11)
             if not prof.primitive and "b" in str(f.image_a)]
+
+
+@pytest.fixture(scope="module")
+def every_non_primitive():
+    """Every non-primitive morphism up to 11 letters, f(a) = a^i included."""
+    return [f for f, prof in census_morphisms(11) if not prof.primitive]
 
 
 def non_primitive_alpha(mat):
@@ -246,6 +253,27 @@ class TestNonPrimitiveCertificates:
         jsonschema.validate(verdict_report(f, v), VERDICT_REPORT_SCHEMA)
 
 
+class TestClosedForm:
+    """classify's non-primitive branch reads (u, w) off the images; its
+    PeriodicityVerdict is decide_periodic's, bounds and all."""
+
+    # (max_period, max_preperiod) -> periodic verdicts: 2026 a^omega, 45
+    # a b^omega and 14 (a b^l)^omega at the defaults, fewer as a bound hides
+    # a longer u or w
+    FOUND = {(None, None): 2085, (1, 0): 2026, (1, 1): 2071, (2, 0): 2030,
+             (3, 1): 2078, (5, 5): 2081}
+
+    @pytest.mark.parametrize("bounds", FOUND, ids=str)
+    def test_equals_the_search(self, every_non_primitive, bounds):
+        opts = ClassifyOptions(max_period=bounds[0], max_preperiod=bounds[1])
+        found = 0
+        for f in every_non_primitive:
+            pv = classify(f, opts).periodicity
+            assert pv.to_json() == decide_periodic(f, *bounds).to_json(), f.to_text()
+            found += pv.found
+        assert (len(every_non_primitive), found) == (4007, self.FOUND[bounds])
+
+
 class TestIdentities:
     def test_delta_of_images_scales_by_theta2(self, rng):
         # Delta(f^k(a)) = theta2^k (1 - alpha) on primitive morphisms with
@@ -301,7 +329,8 @@ class TestNoPrefix:
 
     @pytest.mark.parametrize("text", NON_PRIMITIVE)
     def test_no_window_scan_on_non_primitive(self, text, monkeypatch):
-        # decide_periodic still expands its own prefix; the evidence does not
+        # the evidence scans no window (and nothing expands a prefix, as
+        # test_no_expansion_on_non_primitive checks)
         def refuse(*args, **kwargs):
             raise AssertionError("scanned windows")
 
@@ -311,6 +340,25 @@ class TestNoPrefix:
         v = classify(f)
         assert v.reason == REASON_NONPRIMITIVE_NO_PERIOD
         assert v.evidence.kind == "theta2_one_cycle"
+        verdict_report(f, v)
+
+    @pytest.mark.parametrize("text", ["a->ab; b->b", "a->aba; b->b", "a->aa; b->ba"]
+                             + NON_PRIMITIVE)
+    def test_no_expansion_on_non_primitive(self, text, monkeypatch):
+        # a b^omega, (a b)^omega and a^omega have a closed form, and the rest
+        # a certificate, so the branch expands no prefix and runs no search
+        def refuse(*args, **kwargs):
+            raise AssertionError("expanded a prefix")
+
+        monkeypatch.setattr(words_module, "fixed_point_prefix", refuse)
+        monkeypatch.setattr(words_module, "_expand_prefix", refuse)
+        monkeypatch.setattr(periodic_module, "decide_periodic", refuse)
+        f = parse_morphism(text)
+        v = classify(f)
+        if text in self.NON_PRIMITIVE:
+            assert v.reason == REASON_NONPRIMITIVE_NO_PERIOD and v.evidence is not None
+        else:
+            assert v.reason == REASON_NONPRIMITIVE_PERIODIC and v.periodicity.found
         verdict_report(f, v)
 
     @pytest.mark.parametrize("text", TEXTS + NON_PRIMITIVE)
